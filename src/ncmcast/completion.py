@@ -15,7 +15,7 @@ successor map and back-substituting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,6 +180,34 @@ def nc_batch_size(remaining: int) -> int:
     return remaining
 
 
+def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
+    """anc_batch_size for every (remaining, start slot), 0 where infeasible.
+
+    Entry [r-1, j] is the least N covering r degrees of freedom from slot
+    j, or 0 when no N <= 64*r does.  Each slot's column is one cumulative
+    sum over 64*dof slots; its prefix is bit-identical to the scalar
+    rule's shorter sum, so the table equals anc_batch_size exactly.
+    """
+    tau = pe.size
+    window = 64 * dof
+    received = np.tile(1.0 - pe, -(-(window + tau) // tau))
+    need = np.arange(1, dof + 1, dtype=float)
+    caps = 64 * np.arange(1, dof + 1)
+    table = np.empty((dof, tau), dtype=np.int64)
+    for j in range(tau):
+        pos = received[j:j + window].cumsum().searchsorted(need, side="left")
+        table[:, j] = np.where(pos < caps, pos + 1, 0)
+    return table
+
+
+def _require_covered(table: np.ndarray, first_remaining: int = 1) -> None:
+    """Raise InfeasibleWindowError at the first 0 entry in level-major order."""
+    zeros = np.flatnonzero(table == 0)
+    if zeros.size:
+        r, j = divmod(int(zeros[0]), table.shape[-1])
+        raise InfeasibleWindowError(j, first_remaining + r)
+
+
 class NonAdaptivePolicy:
     """Channel-oblivious sizing: each round sends the deficit, uncompensated."""
 
@@ -188,47 +216,65 @@ class NonAdaptivePolicy:
     def batch_size(self, remaining: int, slot: int) -> int:
         return nc_batch_size(remaining)
 
+    def table(self, dof: int, tau: int) -> np.ndarray:
+        """Batch for r = 1..dof deficits (rows) at every slot (columns)."""
+        return np.repeat(np.arange(1, dof + 1, dtype=np.int64)[:, None], tau, axis=1)
+
 
 class AdaptivePolicy:
     """Sizing from an erasure trace so expected receptions cover the deficit.
 
     The sizing trace defaults to the receiver's own channel; passing a
     shared (virtual) trace instead reproduces a sender that plans its
-    batches for the whole multicast group.
+    batches for the whole multicast group.  Sizes come from one table
+    per policy, built on first use and rebuilt only for a larger deficit.
     """
 
     name = "anc"
 
     def __init__(self, sizing_trace):
         self.sizing_pe = _pe_array(sizing_trace)
-        self._cache: dict[tuple[int, int], int] = {}
+        self._table = np.zeros((0, self.sizing_pe.size), dtype=np.int64)
+
+    def _rows(self, dof: int) -> np.ndarray:
+        if dof > self._table.shape[0]:
+            self._table = _sizing_table(self.sizing_pe, dof)
+        return self._table
+
+    def table(self, dof: int, tau: int) -> np.ndarray:
+        """Batch for r = 1..dof deficits (rows) at every slot (columns).
+
+        Slot j reads the sizing trace at j mod its length; 0 marks a
+        window no batch within 64*r covers.
+        """
+        return self._rows(dof)[:dof, np.arange(tau) % self.sizing_pe.size]
 
     def batch_size(self, remaining: int, slot: int) -> int:
+        if remaining < 1:
+            raise ValueError("remaining must be >= 1")
         slot = slot % self.sizing_pe.size
-        key = (remaining, slot)
-        n = self._cache.get(key)
-        if n is None:
-            n = anc_batch_size(self.sizing_pe, slot, remaining)
-            self._cache[key] = n
+        n = int(self._rows(remaining)[remaining - 1, slot])
+        if n == 0:
+            raise InfeasibleWindowError(slot, remaining)
         return n
 
 
 # -- expected-cost solver -----------------------------------------------------
 
 
-def _solve_level(b: np.ndarray, c: np.ndarray, successor: np.ndarray) -> np.ndarray:
+def _solve_level(b: list, c: list, successor: list) -> list:
     """Solve T[j] = b[j] + c[j] * T[successor[j]] exactly.
 
     Each equation has a single coupling, so the successor map is a
     functional graph: resolve each cycle in closed form, then
     back-substitute along the trees hanging off it.  Raises when a cycle
     has unit stay probability everywhere (the batch windows on it are
-    fully erased).
+    fully erased).  Works on Python lists: the walk is scalar code.
     """
-    tau = b.size
+    tau = len(b)
     UNSEEN, ON_PATH, DONE = 0, 1, 2
-    state = np.zeros(tau, dtype=np.int8)
-    T = np.zeros(tau)
+    state = [UNSEEN] * tau
+    T = [0.0] * tau
     for start in range(tau):
         if state[start] != UNSEEN:
             continue
@@ -237,7 +283,7 @@ def _solve_level(b: np.ndarray, c: np.ndarray, successor: np.ndarray) -> np.ndar
         while state[j] == UNSEEN:
             state[j] = ON_PATH
             path.append(j)
-            j = int(successor[j])
+            j = successor[j]
         if state[j] == ON_PATH:
             k = path.index(j)
             cycle = path[k:]
@@ -265,57 +311,55 @@ def _solve_level(b: np.ndarray, c: np.ndarray, successor: np.ndarray) -> np.ndar
     return T
 
 
-def _expected_cost(pe: np.ndarray, params: ModelParams, policy,
-                   round_cost) -> np.ndarray:
-    """Expected accumulated round_cost(N) until absorption, per state.
+def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
+    """Expected accumulated per-round costs until absorption, per state.
 
-    Returns an array of shape (dof+1, tau); row 0 is the absorbed level.
-    round_cost maps a vector of batch sizes to per-round costs.
+    Returns an array of shape (3, dof+1, tau), one backward solve with
+    three right-hand sides for a round of N packets: [0] the time
+    N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
+    Row 0 of each is the absorbed level.
     """
     tau = pe.size
     dof = params.dof
     ack = params.ack_slot_advance
-    T = np.zeros((dof + 1, tau))
+    table = policy.table(dof, tau)
+    T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)
     for r in range(1, dof + 1):
-        batches = np.array(
-            [policy.batch_size(r, j) for j in range(tau)], dtype=np.int64
-        )
+        batches = table[r - 1]
+        _require_covered(batches, r)
         dists = _batch_distributions_bulk(pe, r, batches)
         successor = (slots + batches + ack) % tau
-        b = np.asarray(round_cost(batches), dtype=float)
-        if r > 1:
-            b = b + np.einsum("jl,lj->j", dists[:, 1:r], T[1:r, successor])
         c = dists[:, r]
-        level = _solve_level(b, c, successor)
-        resid = np.abs(level - (b + c * level[successor]))
-        if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
-            raise ArithmeticError("expected-cost solve residual out of tolerance")
-        T[r] = level
+        sent = batches * params.t_p
+        for k, b in enumerate((sent + params.t_w, sent, np.ones(tau))):
+            if r > 1:
+                b = b + np.einsum("jl,lj->j", dists[:, 1:r], T[k][1:r, successor])
+            level = np.array(_solve_level(b.tolist(), c.tolist(), successor.tolist()))
+            resid = np.abs(level - (b + c * level[successor]))
+            if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
+                raise ArithmeticError("expected-cost solve residual out of tolerance")
+            T[k, r] = level
     return T
 
 
 class CompletionModel:
-    """Analytic expected completion times over one erasure trace."""
+    """Expected time, packets and rounds over one erasure trace, one solve."""
 
     def __init__(self, pe_trace, params: ModelParams, policy):
         self.pe = _pe_array(pe_trace)
         self.params = params
         self.policy = policy
-        self._times: np.ndarray | None = None
+        self._costs: np.ndarray | None = None
+
+    def _solved(self) -> np.ndarray:
+        if self._costs is None:
+            self._costs = _expected_cost(self.pe, self.params, self.policy)
+        return self._costs
 
     def solve(self) -> np.ndarray:
         """Expected completion seconds for every (remaining, slot) state."""
-        if self._times is None:
-            p = self.params
-            self._times = _expected_cost(
-                self.pe, p, self.policy, lambda n: n * p.t_p + p.t_w
-            )
-        return self._times
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.solve()
+        return self._solved()[0]
 
     def expected_time(self, remaining: int | None = None,
                       start_slot: int = 0) -> float:
@@ -324,28 +368,14 @@ class CompletionModel:
 
     def average_packets(self, start_slot: int = 0) -> float:
         """Expected transmitted coded packets: delay at zero ack wait / t_p."""
-        p = replace(self.params, t_w=0.0)
-        times = _expected_cost(
-            self.pe, p, self.policy, lambda n: n * p.t_p + p.t_w
-        )
-        return float(times[p.dof, start_slot % self.pe.size] / p.t_p)
+        p = self.params
+        return float(self._solved()[1, p.dof, start_slot % self.pe.size] / p.t_p)
 
     def expected_rounds(self, remaining: int | None = None,
                         start_slot: int = 0) -> float:
         """Expected number of feedback rounds until completion."""
-        rounds = _expected_cost(
-            self.pe, self.params, self.policy, lambda n: np.ones_like(n, dtype=float)
-        )
         r = self.params.dof if remaining is None else remaining
-        return float(rounds[r, start_slot % self.pe.size])
-
-
-def solve(model: CompletionModel) -> np.ndarray:
-    return model.solve()
-
-
-def average_packets(model: CompletionModel, start_slot: int = 0) -> float:
-    return model.average_packets(start_slot)
+        return float(self._solved()[2, r, start_slot % self.pe.size])
 
 
 def throughput(delivered_dof: int, completion_time: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF2m, FieldSpec
+from .gf import GF2m
 
 
 class DimensionError(ValueError):
@@ -155,7 +155,3 @@ class Generation:
             return None
         order = np.argsort(self._pivots[: self.size])
         return self._pay[order].copy()
-
-
-def make_field(spec: FieldSpec | int) -> GF2m:
-    return GF2m(spec)

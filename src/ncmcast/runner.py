@@ -81,11 +81,24 @@ def _row(receiver, scheme, ebn0, engine, delay=None, thr=None, packets=None,
     }
 
 
-def _analytic_cell(pe_trace, params, policy, start_slot):
-    model = CompletionModel(pe_trace, params, policy)
-    delay = model.expected_time(start_slot=start_slot)
-    packets = model.average_packets(start_slot=start_slot)
-    return delay, params.dof / delay, packets
+def _na_group(labels, scheme, ebn0, engine) -> list[dict]:
+    """NA rows for every cell of a virtual scheme whose group step failed."""
+    return [_row(label, scheme, ebn0, engine) for label in labels] + [
+        _row(VIRTUAL_LABELS[scheme], vscheme, ebn0, engine)
+        for vscheme in ("nc", "anc")
+    ]
+
+
+def _analytic_row(label, scheme, ebn0, pe_trace, params, policy,
+                  start_slot) -> dict:
+    try:
+        model = CompletionModel(pe_trace, params, policy)
+        delay = model.expected_time(start_slot=start_slot)
+        packets = model.average_packets(start_slot=start_slot)
+    except InfeasibleModelError:
+        return _row(label, scheme, ebn0, "analytic")
+    return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
+                packets, 0.0)
 
 
 def _analytic_point(scenario: Scenario, params: ModelParams, group,
@@ -101,12 +114,8 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
             policy = (
                 NonAdaptivePolicy() if scheme == "nc" else AdaptivePolicy(trace)
             )
-            try:
-                delay, thr, pkts = _analytic_cell(trace, params, policy, j0)
-                rows.append(_row(label, scheme, ebn0, "analytic",
-                                 delay, thr, pkts, 0.0))
-            except InfeasibleModelError:
-                rows.append(_row(label, scheme, ebn0, "analytic"))
+            rows.append(_analytic_row(label, scheme, ebn0, trace, params,
+                                      policy, j0))
 
     for scheme in ("maxpe", "maxct"):
         if scheme not in scenario.schemes:
@@ -118,29 +127,15 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
                 else build_maxct(group, params, j0)
             )
         except InfeasibleModelError:
-            for label in labels:
-                rows.append(_row(label, scheme, ebn0, "analytic"))
-            for vscheme in ("nc", "anc"):
-                rows.append(_row(VIRTUAL_LABELS[scheme], vscheme, ebn0, "analytic"))
+            rows.extend(_na_group(labels, scheme, ebn0, "analytic"))
             continue
         shared = AdaptivePolicy(virtual.pe)
         for trace, label in zip(group.receivers, labels):
-            try:
-                delay, thr, pkts = _analytic_cell(trace, params, shared, j0)
-                rows.append(_row(label, scheme, ebn0, "analytic",
-                                 delay, thr, pkts, 0.0))
-            except InfeasibleModelError:
-                rows.append(_row(label, scheme, ebn0, "analytic"))
-        for vscheme, vpolicy in (
-            ("nc", NonAdaptivePolicy()),
-            ("anc", AdaptivePolicy(virtual.pe)),
-        ):
-            try:
-                delay, thr, pkts = _analytic_cell(virtual.pe, params, vpolicy, j0)
-                rows.append(_row(VIRTUAL_LABELS[scheme], vscheme, ebn0,
-                                 "analytic", delay, thr, pkts, 0.0))
-            except InfeasibleModelError:
-                rows.append(_row(VIRTUAL_LABELS[scheme], vscheme, ebn0, "analytic"))
+            rows.append(_analytic_row(label, scheme, ebn0, trace, params,
+                                      shared, j0))
+        for vscheme, vpolicy in (("nc", NonAdaptivePolicy()), ("anc", shared)):
+            rows.append(_analytic_row(VIRTUAL_LABELS[scheme], vscheme, ebn0,
+                                      virtual.pe, params, vpolicy, j0))
     return rows
 
 
@@ -175,40 +170,36 @@ def _mc_point(scenario: Scenario, params: ModelParams, group, ebn0: float,
             workers=workers,
         )
 
+    def single(label, scheme, trace, receiver) -> dict:
+        try:
+            summary = run_single(config(scheme, receiver), trace)
+        except InfeasibleModelError:
+            return _row(label, scheme, ebn0, "montecarlo")
+        return _mc_summary_row(label, scheme, ebn0, summary)
+
     for scheme in ("nc", "anc"):
         if scheme not in scenario.schemes:
             continue
         for trace, label in zip(group.receivers, labels):
-            try:
-                summary = run_single(config(scheme, label), trace)
-                rows.append(_mc_summary_row(label, scheme, ebn0, summary))
-            except InfeasibleModelError:
-                rows.append(_row(label, scheme, ebn0, "montecarlo"))
+            rows.append(single(label, scheme, trace, label))
 
     for scheme in ("maxpe", "maxct"):
         if scheme not in scenario.schemes:
             continue
         try:
             result = run_multicast(config(scheme, -1), group)
-            for label, summary in zip(result.labels, result.per_receiver):
-                rows.append(_mc_summary_row(label, scheme, ebn0, summary))
-            virtual = (
-                build_maxpe(group)
-                if scheme == "maxpe"
-                else build_maxct(group, params, scenario.start_slot)
-            )
-            for vscheme in ("nc", "anc"):
-                summary = run_single(config(vscheme, -2), virtual.pe)
-                rows.append(
-                    _mc_summary_row(VIRTUAL_LABELS[scheme], vscheme, ebn0, summary)
-                )
         except InfeasibleModelError:
-            for label in labels:
-                rows.append(_row(label, scheme, ebn0, "montecarlo"))
-            for vscheme in ("nc", "anc"):
-                rows.append(
-                    _row(VIRTUAL_LABELS[scheme], vscheme, ebn0, "montecarlo")
-                )
+            rows.extend(_na_group(labels, scheme, ebn0, "montecarlo"))
+            continue
+        for label, summary in zip(result.labels, result.per_receiver):
+            rows.append(_mc_summary_row(label, scheme, ebn0, summary))
+        virtual_pe = (
+            build_maxpe(group).pe
+            if scheme == "maxpe"
+            else group.receivers[labels.index(result.reference_receiver)]
+        )
+        for vscheme in ("nc", "anc"):
+            rows.append(single(VIRTUAL_LABELS[scheme], vscheme, virtual_pe, -2))
     return rows
 
 
@@ -245,6 +236,13 @@ def _format_value(value) -> str:
 
 
 def write_results_csv(path, rows: list[dict]):
+    """Write result rows; a repeated (receiver, scheme, Eb/N0, engine) is an error."""
+    seen = set()
+    for row in rows:
+        key = (row["receiver"], row["scheme"], row["eb_n0_db"], row["engine"])
+        if key in seen:
+            raise ValueError(f"duplicate result row for cell {key}")
+        seen.add(key)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(RESULT_FIELDS) + "\n")
         for row in rows:

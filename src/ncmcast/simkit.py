@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def _policy_for(scheme: str, own_pe: np.ndarray, sizing_pe=None):
     raise ValueError(f"single-receiver scheme must be nc or anc, got {scheme!r}")
 
 
-def _summarize(dof: int, t_p: float, delays, packets, rounds, completed,
+def _summarize(dof: int, delays, packets, rounds, completed,
                records=None) -> SimSummary:
     completed = np.asarray(completed, dtype=bool)
     n = completed.size
@@ -169,6 +169,18 @@ def _summarize(dof: int, t_p: float, delays, packets, rounds, completed,
         packets=StatSummary.from_samples(ok_packets),
         rounds=StatSummary.from_samples(ok_rounds),
         records=records,
+    )
+
+
+def _summarize_records(params: ModelParams, records: list[TrialRecord],
+                       keep: bool = False) -> SimSummary:
+    return _summarize(
+        params.dof,
+        [r.completion_time for r in records],
+        [r.packets_sent for r in records],
+        [r.rounds for r in records],
+        [r.completed for r in records],
+        records=records if keep else None,
     )
 
 
@@ -321,18 +333,10 @@ def run_single(config: SimConfig, trace, sizing_trace=None) -> SimSummary:
         delays, packets, rounds, completed = _run_single_grouped(
             config, pe, sizing_pe
         )
-        return _summarize(config.params.dof, config.params.t_p, delays,
-                          packets, rounds, completed)
+        return _summarize(config.params.dof, delays, packets, rounds,
+                          completed)
     records = _run_single_per_trial(config, pe, sizing_pe, receiver=0)
-    return _summarize(
-        config.params.dof,
-        config.params.t_p,
-        [r.completion_time for r in records],
-        [r.packets_sent for r in records],
-        [r.rounds for r in records],
-        [r.completed for r in records],
-        records=records if config.record_trials else None,
-    )
+    return _summarize_records(config.params, records, config.record_trials)
 
 
 # -- multicast ---------------------------------------------------------------
@@ -407,33 +411,12 @@ def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
         packets_by_trial = np.zeros(config.trials)
         rounds_by_trial = np.zeros(config.trials)
         for rx, trace in enumerate(group.receivers):
-            sub = SimConfig(
-                trials=config.trials,
-                seed=config.seed,
-                params=params,
-                scheme=config.scheme,
-                decoding=config.decoding,
-                start_slot=config.start_slot,
-                max_rounds=config.max_rounds,
-                payload_symbols=config.payload_symbols,
-                record_trials=True,
-                method="per_trial",
-                workers=config.workers,
-            )
-            pe = _pe_array(trace)
+            sub = replace(config, seed=seqs[rx], record_trials=True,
+                          method="per_trial")
             records = _run_single_per_trial(
-                _replace_seed(sub, seqs[rx]), pe, None, receiver=labels[rx]
+                sub, _pe_array(trace), None, receiver=labels[rx]
             )
-            per_receiver.append(
-                _summarize(
-                    params.dof,
-                    params.t_p,
-                    [r.completion_time for r in records],
-                    [r.packets_sent for r in records],
-                    [r.rounds for r in records],
-                    [r.completed for r in records],
-                )
-            )
+            per_receiver.append(_summarize_records(params, records))
             packets_by_trial += [r.packets_sent for r in records]
             rounds_by_trial += [r.rounds for r in records]
             if config.record_trials:
@@ -488,7 +471,7 @@ def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
                     )
                 )
     per_receiver = [
-        _summarize(params.dof, params.t_p, delays[:, rx], packets[:, rx],
+        _summarize(params.dof, delays[:, rx], packets[:, rx],
                    rounds[:, rx], completed[:, rx])
         for rx in range(n_rx)
     ]
@@ -501,12 +484,6 @@ def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
         sender_rounds=StatSummary.from_samples(sender_rounds),
         records=records if config.record_trials else None,
     )
-
-
-def _replace_seed(config: SimConfig, seed) -> SimConfig:
-    cfg = SimConfig(**{**config.__dict__})
-    cfg.seed = seed
-    return cfg
 
 
 def write_trial_records(path, records: list[TrialRecord]):

@@ -19,7 +19,7 @@ from .completion import (
     CompletionModel,
     InfeasibleModelError,
     ModelParams,
-    anc_batch_size,
+    _require_covered,
 )
 
 MAXPE = "maxpe"
@@ -134,13 +134,10 @@ class MulticastPlan:
 def multicast_plan(virtual: VirtualChannel, params: ModelParams,
                    start_slot: int = 0) -> MulticastPlan:
     """Full sizing table plus the virtual receiver's expected completion time."""
-    pe = virtual.pe
-    tau = len(pe)
-    table = np.empty((params.dof, tau), dtype=np.int64)
-    for r in range(1, params.dof + 1):
-        for j in range(tau):
-            table[r - 1, j] = anc_batch_size(pe, j, r)
-    model = CompletionModel(pe, params, AdaptivePolicy(pe))
+    policy = AdaptivePolicy(virtual.pe)
+    table = policy.table(params.dof, len(virtual.pe))
+    _require_covered(table)
+    model = CompletionModel(virtual.pe, params, policy)
     return MulticastPlan(
         scheme=virtual.scheme,
         reference_receiver=virtual.reference_receiver,

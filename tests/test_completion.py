@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncmcast import completion
 from ncmcast.completion import (
     AdaptivePolicy,
     CompletionModel,
@@ -318,3 +320,73 @@ class TestModelParams:
             ModelParams(dof=1, t_p=1.0, t_w=-1.0)
         with pytest.raises(ValueError):
             ModelParams(dof=1, t_p=1.0, t_w=0.0, ack_slot_advance=-1)
+
+
+# Repeated tenths and quarters make cumulative sums land near integers.
+erasure = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9]),
+                    st.floats(0.0, 1.0))
+traces = st.lists(erasure, min_size=1, max_size=24).map(np.array)
+
+
+class TestSizingTable:
+    @settings(max_examples=150, deadline=None)
+    @given(pe=traces, dof=st.integers(1, 8), first=st.integers(1, 8))
+    def test_table_equals_scalar_rule(self, pe, dof, first):
+        policy = AdaptivePolicy(pe)
+        policy.table(first, pe.size)  # grown later when dof > first
+        table = policy.table(dof, pe.size)
+        assert table.shape == (dof, pe.size)
+        for r in range(1, dof + 1):
+            for j in range(pe.size):
+                try:
+                    want = anc_batch_size(pe, j, r)
+                except InfeasibleWindowError as exc:
+                    assert table[r - 1, j] == 0
+                    assert (exc.start_slot, exc.remaining) == (j, r)
+                    with pytest.raises(InfeasibleWindowError) as err:
+                        policy.batch_size(r, j)
+                    assert (err.value.start_slot, err.value.remaining) == (j, r)
+                else:
+                    assert table[r - 1, j] == want
+                    assert policy.batch_size(r, j) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pe=traces, dof=st.integers(1, 5))
+    def test_model_raises_at_first_zero_level_major(self, pe, dof):
+        table = AdaptivePolicy(pe).table(dof, pe.size)
+        zeros = np.argwhere(table == 0)
+        params = ModelParams(dof=dof, t_p=1.0, t_w=0.5)
+        model = CompletionModel(pe, params, AdaptivePolicy(pe))
+        if zeros.size == 0:
+            return
+        r, j = zeros[0] + (1, 0)
+        try:
+            model.solve()
+        except InfeasibleWindowError as exc:
+            assert (exc.start_slot, exc.remaining) == (j, r)
+        except InfeasibleModelError:
+            pass  # a fully erased cycle at a lower level ends the solve first
+        else:
+            pytest.fail("a zero sizing entry must make the model infeasible")
+
+    def test_nonadaptive_table_is_the_deficit(self):
+        table = NonAdaptivePolicy().table(4, 3)
+        assert table.tolist() == [[1] * 3, [2] * 3, [3] * 3, [4] * 3]
+
+
+class TestSingleSolve:
+    def test_one_solve_answers_time_packets_and_rounds(self, monkeypatch):
+        calls = []
+        solve = completion._expected_cost
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(completion, "_expected_cost", counted)
+        pe = np.array([0.1, 0.4, 0.0, 0.7, 0.2])
+        model = CompletionModel(pe, GEO, AdaptivePolicy(pe))
+        model.expected_time()
+        model.average_packets()
+        model.expected_rounds()
+        assert len(calls) == 1

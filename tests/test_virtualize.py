@@ -3,6 +3,7 @@ import pytest
 
 from ncmcast.channel import ErasureTrace
 from ncmcast.completion import AdaptivePolicy, CompletionModel, ModelParams, anc_batch_size
+from ncmcast.completion import InfeasibleWindowError
 from ncmcast.virtualize import (
     MulticastGroup,
     build_maxct,
@@ -146,6 +147,15 @@ class TestPlan:
         p2 = multicast_plan(build_maxpe(make_group(rows)), PARAMS)
         assert np.array_equal(p1.batch_sizes, p2.batch_sizes)
         assert p1.expected_time == p2.expected_time
+
+    def test_uncovered_window_names_first_state(self):
+        # slots 10..73 are fully erased, so from slot 10 no batch of at
+        # most 64 packets delivers a single degree of freedom
+        pe = np.ones(100)
+        pe[:10] = 0.0
+        with pytest.raises(InfeasibleWindowError) as err:
+            multicast_plan(build_maxpe(make_group([pe])), PARAMS)
+        assert (err.value.start_slot, err.value.remaining) == (10, 1)
 
 
 class TestDomination:
