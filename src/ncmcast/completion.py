@@ -37,6 +37,10 @@ class InfeasibleWindowError(InfeasibleModelError):
         self.start_slot = start_slot
         self.remaining = remaining
 
+    def __reduce__(self):
+        # a Monte Carlo worker process sends the error back pickled
+        return type(self), (self.start_slot, self.remaining)
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -3,7 +3,8 @@
 Produces flat result rows for the analytic engine, the Monte Carlo
 engine, or both.  Cells whose model is infeasible (a trace too erased to
 cover the block within the batch cap) are flagged with NA values and the
-sweep continues.
+sweep continues.  So are Monte Carlo cells where any trial ran out of
+rounds, since a mean over the trials that completed is biased low.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
 
 
 def _mc_summary_row(label, scheme, ebn0, summary) -> dict:
-    if summary.n_completed == 0:
+    if summary.n_failures > 0:
         return _row(label, scheme, ebn0, "montecarlo")
     return _row(label, scheme, ebn0, "montecarlo",
                 summary.delay.mean, summary.throughput.mean,

@@ -1,23 +1,32 @@
 """Monte Carlo discrete-event simulation of batched coded transmission.
 
-Trials simulate rounds of batch transmissions with independent per-slot
-erasures and lossless round-trip acknowledgments, for one receiver or a
-multicast group.  Decoding is either idealized (every received packet is
-one degree of freedom) or real random linear coding over a configured
-field, where dependent combinations waste receptions.
+Every run is one question: a sender sizes each batch from a policy's
+table at the largest outstanding deficit in a group of receivers, and
+each receiver loses packets on its own erasure trace, with lossless
+round-trip acknowledgments.  A single receiver is a group of one.  A
+receiver's clock stops at the end of the round that completes it.
+Decoding is either idealized (every received packet is one degree of
+freedom) or real random linear coding over a configured field, where
+dependent combinations waste receptions.
 
-Per-trial randomness derives from the root seed by seed-sequence
-splitting, so distributing trials across workers never changes results.
-An additional vectorized path for idealized decoding advances all trials
-occupying the same model state together; it is statistically equivalent
-but consumes random numbers in a different order than the per-trial path.
+Two kernels run a group:
+
+- the per-trial loop, for any decoding.  Per-trial randomness derives
+  from the root seed by seed-sequence splitting, so distributing trials
+  across workers never changes results;
+- the grouped kernel, for idealized decoding, which advances all trials
+  sharing a (largest deficit, slot) state together.  It is statistically
+  equivalent but consumes random numbers in a different order.
+
+`method="auto"` picks the grouped kernel for idealized decoding unless
+trial records are kept, and the per-trial loop otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .rlnc import Generation
 from .virtualize import MAXCT, MAXPE, MulticastGroup, build_maxct, build_maxpe
 
 FAILURE_WARNING_RATE = 0.01
+DRAW_BLOCK = 1 << 16  # uniform draws per call in the grouped kernel
 
 
 @dataclass
@@ -147,14 +157,174 @@ def _policy_for(scheme: str, own_pe: np.ndarray, sizing_pe=None):
     raise ValueError(f"single-receiver scheme must be nc or anc, got {scheme!r}")
 
 
-def _summarize(dof: int, delays, packets, rounds, completed,
-               records=None) -> SimSummary:
-    completed = np.asarray(completed, dtype=bool)
+@dataclass
+class _Outcome:
+    """Where each receiver of each trial ended; arrays of (trials, receivers).
+
+    A receiver's clock, packets and rounds stop at the end of the round
+    that completes it, or at the last round when it never completes.
+    `timelines` holds the deficit after each of its rounds, if kept.
+    """
+
+    delay: np.ndarray
+    packets: np.ndarray
+    rounds: np.ndarray
+    remaining: np.ndarray
+    timelines: np.ndarray
+
+    @classmethod
+    def start(cls, trials: int, n_rx: int, dof: int) -> "_Outcome":
+        shape = (trials, n_rx)
+        return cls(np.zeros(shape), np.zeros(shape, dtype=np.int64),
+                   np.zeros(shape, dtype=np.int64),
+                   np.full(shape, dof, dtype=np.int64),
+                   np.full(shape, None, dtype=object))
+
+
+def _join(parts: list[_Outcome], axis: int) -> _Outcome:
+    """Outcomes of trial chunks (axis 0) or of receivers run apart (axis 1)."""
+    return _Outcome(*(np.concatenate(a, axis=axis)
+                      for a in zip(*(vars(p).values() for p in parts))))
+
+
+# -- per-trial loop (any decoding) ---------------------------------------------
+
+
+def _trial_rngs(trial_seed: np.random.SeedSequence):
+    erasure_ss, coding_ss = trial_seed.spawn(2)
+    return np.random.default_rng(erasure_ss), np.random.default_rng(coding_ss)
+
+
+def _per_trial(args) -> _Outcome:
+    (seeds, pes, policy, params, field_spec, payload_symbols, max_rounds,
+     start_slot, keep_timeline) = args
+    n_rx, tau = pes.shape
+    dof = params.dof
+    field = None if field_spec is None else field_for(field_spec)
+    out = _Outcome.start(len(seeds), n_rx, dof)
+    for i, seed in enumerate(seeds):
+        erng, crng = _trial_rngs(seed)
+        if field is not None:
+            sources = field.random_symbols(crng, (dof, payload_symbols))
+            gens = [Generation(field, sources) for _ in range(n_rx)]
+        if keep_timeline:
+            for rx in range(n_rx):
+                out.timelines[i, rx] = [dof]
+        remaining = out.remaining[i]
+        j = start_slot % tau
+        t = 0.0
+        rounds = 0
+        sent = 0
+        while remaining.any() and rounds < max_rounds:
+            live = remaining > 0
+            batch = policy.batch_size(int(remaining.max()), j)
+            slots = (j + np.arange(batch)) % tau
+            survive = erng.random((batch, n_rx)) >= pes[:, slots].T
+            if field is None:
+                remaining[:] = np.maximum(remaining - survive.sum(axis=0), 0)
+            else:
+                coefs = field.random_symbols(crng, (batch, dof))
+                for rx in np.flatnonzero(live):
+                    gen = gens[rx]
+                    for k in np.flatnonzero(survive[:, rx]):
+                        gen.absorb(gen.combine(coefs[k]))
+                        if gen.is_complete:
+                            break
+                    remaining[rx] = dof - gen.rank
+            t += batch * params.t_p + params.t_w
+            j = (j + batch + params.ack_slot_advance) % tau
+            rounds += 1
+            sent += batch
+            out.delay[i, live] = t
+            out.packets[i, live] = sent
+            out.rounds[i, live] = rounds
+            if keep_timeline:
+                for rx in np.flatnonzero(live):
+                    out.timelines[i, rx].append(int(remaining[rx]))
+    return out
+
+
+# -- grouped kernel (idealized decoding) ---------------------------------------
+
+
+def _grouped(seed, pes: np.ndarray, policy, params: ModelParams, trials: int,
+             max_rounds: int, start_slot: int) -> _Outcome:
+    rng = np.random.default_rng(_as_seedseq(seed))
+    n_rx, tau = pes.shape
+    q = 1.0 - pes
+    out = _Outcome.start(trials, n_rx, params.dof)
+    remaining = out.remaining
+    slot = np.full(trials, start_slot % tau, dtype=np.int64)
+    t = np.zeros(trials)
+    sent = np.zeros(trials, dtype=np.int64)
+    for rounds in range(1, max_rounds + 1):
+        live = remaining > 0
+        active = np.flatnonzero(live.any(axis=1))
+        if active.size == 0:
+            break
+        keys = remaining[active].max(axis=1) * tau + slot[active]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        for g, key in enumerate(uniq):
+            members = active[order[bounds[g]:bounds[g + 1]]]
+            r, j = divmod(int(key), tau)
+            batch = policy.batch_size(r, j)
+            qs = q[:, (j + np.arange(batch)) % tau].T[:, None, :]
+            # packets in blocks of about DRAW_BLOCK draws: the same stream as
+            # one (members, receivers) draw per packet, in fewer calls
+            step = max(1, DRAW_BLOCK // (members.size * n_rx))
+            succ = np.zeros((members.size, n_rx), dtype=np.int64)
+            for k in range(0, batch, step):
+                u = rng.random((min(step, batch - k), members.size, n_rx))
+                succ += (u < qs[k:k + step]).sum(axis=0)
+            remaining[members] = np.maximum(remaining[members] - succ, 0)
+            t[members] += batch * params.t_p + params.t_w
+            sent[members] += batch
+            slot[members] = (j + batch + params.ack_slot_advance) % tau
+        np.copyto(out.delay, t[:, None], where=live)
+        np.copyto(out.packets, sent[:, None], where=live)
+        out.rounds[live] = rounds
+    return out
+
+
+# -- one entry for every run ---------------------------------------------------
+
+
+def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
+    """Trials of a sender that sizes each batch by `policy` at the largest
+    outstanding deficit, to receivers with erasure rows `pes` (receivers,
+    slots); the kernel is chosen by `config.method`."""
+    field_spec = config.field_spec
+    method = config.method
+    if method == "auto":
+        method = (
+            "grouped"
+            if field_spec is None and not config.record_trials
+            else "per_trial"
+        )
+    if method == "grouped":
+        if field_spec is not None:
+            raise ValueError("grouped method supports idealized decoding only")
+        return _grouped(seed, pes, policy, config.params, config.trials,
+                        config.max_rounds, config.start_slot)
+    seeds = _as_seedseq(seed).spawn(config.trials)
+    common = (pes, policy, config.params, field_spec, config.payload_symbols,
+              config.max_rounds, config.start_slot, config.record_trials)
+    if config.workers == 1:
+        return _per_trial((seeds,) + common)
+    bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
+    tasks = [(seeds[a:b],) + common
+             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return _join(list(pool.map(_per_trial, tasks)), axis=0)
+
+
+def _summarize(dof: int, out: _Outcome, rx: int) -> SimSummary:
+    completed = out.remaining[:, rx] == 0
     n = completed.size
     n_done = int(completed.sum())
-    ok_delays = np.asarray(delays, dtype=float)[completed]
-    ok_packets = np.asarray(packets, dtype=float)[completed]
-    ok_rounds = np.asarray(rounds, dtype=float)[completed]
+    ok_delays = out.delay[completed, rx]
     failure_rate = (n - n_done) / n
     return SimSummary(
         n_trials=n,
@@ -166,150 +336,31 @@ def _summarize(dof: int, delays, packets, rounds, completed,
         throughput=StatSummary.from_samples(
             dof / ok_delays if ok_delays.size else ok_delays
         ),
-        packets=StatSummary.from_samples(ok_packets),
-        rounds=StatSummary.from_samples(ok_rounds),
-        records=records,
+        packets=StatSummary.from_samples(out.packets[completed, rx]),
+        rounds=StatSummary.from_samples(out.rounds[completed, rx]),
     )
 
 
-def _summarize_records(params: ModelParams, records: list[TrialRecord],
-                       keep: bool = False) -> SimSummary:
-    return _summarize(
-        params.dof,
-        [r.completion_time for r in records],
-        [r.packets_sent for r in records],
-        [r.rounds for r in records],
-        [r.completed for r in records],
-        records=records if keep else None,
-    )
-
-
-# -- per-trial engine --------------------------------------------------------
-
-
-def _trial_rngs(trial_seed: np.random.SeedSequence):
-    erasure_ss, coding_ss = trial_seed.spawn(2)
-    return np.random.default_rng(erasure_ss), np.random.default_rng(coding_ss)
-
-
-def _single_trial(trial: int, trial_seed, pe: np.ndarray, policy,
-                  params: ModelParams, field_spec: FieldSpec | None,
-                  payload_symbols: int, max_rounds: int, start_slot: int,
-                  receiver: int = 0, keep_timeline: bool = False) -> TrialRecord:
-    erng, crng = _trial_rngs(trial_seed)
-    tau = pe.size
-    dof = params.dof
-    gen = None
-    field = None
-    if field_spec is not None:
-        field = field_for(field_spec)
-        gen = Generation.random(field, dof, payload_symbols, crng)
-    remaining = dof
-    j = start_slot % tau
-    t = 0.0
-    rounds = 0
-    packets = 0
-    timeline = [dof] if keep_timeline else []
-    while remaining > 0 and rounds < max_rounds:
-        n = policy.batch_size(remaining, j)
-        slots = (j + np.arange(n)) % tau
-        survive = erng.random(n) >= pe[slots]
-        if gen is None:
-            remaining = max(remaining - int(survive.sum()), 0)
-        else:
-            coefs = field.random_symbols(crng, (n, dof))
-            for k in np.nonzero(survive)[0]:
-                gen.absorb(gen.combine(coefs[k]))
-            remaining = dof - gen.rank
-        t += n * params.t_p + params.t_w
-        j = (j + n + params.ack_slot_advance) % tau
-        rounds += 1
-        packets += n
-        if keep_timeline:
-            timeline.append(remaining)
-    return TrialRecord(
-        trial=trial,
-        receiver=receiver,
-        completion_time=t,
-        packets_sent=packets,
-        rounds=rounds,
-        completed=remaining == 0,
-        dof_timeline=timeline,
-    )
-
-
-def _single_trial_chunk(args):
-    (trials, seeds, pe, sizing_pe, scheme, params, field_spec,
-     payload_symbols, max_rounds, start_slot, receiver, keep_timeline) = args
-    policy = _policy_for(scheme, pe, sizing_pe)
-    return [
-        _single_trial(i, s, pe, policy, params, field_spec, payload_symbols,
-                      max_rounds, start_slot, receiver, keep_timeline)
-        for i, s in zip(trials, seeds)
+def _report(config: SimConfig, out: _Outcome, labels: list):
+    """Per-receiver summaries, and the trial records if they are kept."""
+    summaries = [_summarize(config.params.dof, out, rx)
+                 for rx in range(len(labels))]
+    if not config.record_trials:
+        return summaries, None
+    records = [
+        TrialRecord(
+            trial=i,
+            receiver=label,
+            completion_time=float(out.delay[i, rx]),
+            packets_sent=int(out.packets[i, rx]),
+            rounds=int(out.rounds[i, rx]),
+            completed=bool(out.remaining[i, rx] == 0),
+            dof_timeline=out.timelines[i, rx] or [],
+        )
+        for i in range(config.trials)
+        for rx, label in enumerate(labels)
     ]
-
-
-def _run_single_per_trial(config: SimConfig, pe: np.ndarray,
-                          sizing_pe, receiver: int) -> list[TrialRecord]:
-    seeds = _as_seedseq(config.seed).spawn(config.trials)
-    indices = list(range(config.trials))
-    common = (pe, sizing_pe, config.scheme, config.params, config.field_spec,
-              config.payload_symbols, config.max_rounds, config.start_slot,
-              receiver, config.record_trials)
-    if config.workers == 1:
-        return _single_trial_chunk((indices, seeds) + common)
-    bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
-    tasks = [
-        (indices[a:b], seeds[a:b]) + common
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    records: list[TrialRecord] = []
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for part in pool.map(_single_trial_chunk, tasks):
-            records.extend(part)
-    return records
-
-
-# -- grouped engine (idealized decoding) ---------------------------------------
-
-
-def _run_single_grouped(config: SimConfig, pe: np.ndarray, sizing_pe):
-    policy = _policy_for(config.scheme, pe, sizing_pe)
-    rng = np.random.default_rng(_as_seedseq(config.seed))
-    params = config.params
-    tau = pe.size
-    n = config.trials
-    remaining = np.full(n, params.dof, dtype=np.int64)
-    slot = np.full(n, config.start_slot % tau, dtype=np.int64)
-    t = np.zeros(n)
-    packets = np.zeros(n, dtype=np.int64)
-    rounds = np.zeros(n, dtype=np.int64)
-    for _ in range(config.max_rounds):
-        active = np.nonzero(remaining > 0)[0]
-        if active.size == 0:
-            break
-        keys = remaining[active] * tau + slot[active]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse)
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        for g, key in enumerate(uniq):
-            members = active[order[starts[g]:stops[g]]]
-            r = int(key // tau)
-            j = int(key % tau)
-            batch = policy.batch_size(r, j)
-            succ = np.zeros(members.size, dtype=np.int64)
-            for k in range(batch):
-                q = 1.0 - pe[(j + k) % tau]
-                succ += rng.random(members.size) < q
-            remaining[members] = np.maximum(r - succ, 0)
-            t[members] += batch * params.t_p + params.t_w
-            packets[members] += batch
-            rounds[members] += 1
-            slot[members] = (j + batch + params.ack_slot_advance) % tau
-    return t, packets, rounds, remaining == 0
+    return summaries, records
 
 
 def run_single(config: SimConfig, trace, sizing_trace=None) -> SimSummary:
@@ -320,76 +371,11 @@ def run_single(config: SimConfig, trace, sizing_trace=None) -> SimSummary:
     """
     pe = _pe_array(trace)
     sizing_pe = None if sizing_trace is None else _pe_array(sizing_trace)
-    method = config.method
-    if method == "auto":
-        method = (
-            "grouped"
-            if config.field_spec is None and not config.record_trials
-            else "per_trial"
-        )
-    if method == "grouped":
-        if config.field_spec is not None:
-            raise ValueError("grouped method supports idealized decoding only")
-        delays, packets, rounds, completed = _run_single_grouped(
-            config, pe, sizing_pe
-        )
-        return _summarize(config.params.dof, delays, packets, rounds,
-                          completed)
-    records = _run_single_per_trial(config, pe, sizing_pe, receiver=0)
-    return _summarize_records(config.params, records, config.record_trials)
-
-
-# -- multicast ---------------------------------------------------------------
-
-
-def _multicast_trial(trial: int, trial_seed, pes: np.ndarray,
-                     sizing: AdaptivePolicy, params: ModelParams,
-                     field_spec: FieldSpec | None, payload_symbols: int,
-                     max_rounds: int, start_slot: int):
-    erng, crng = _trial_rngs(trial_seed)
-    n_rx, tau = pes.shape
-    dof = params.dof
-    gens = None
-    field = None
-    if field_spec is not None:
-        field = field_for(field_spec)
-        sources = field.random_symbols(crng, (dof, payload_symbols))
-        gens = [Generation(field, sources) for _ in range(n_rx)]
-    remaining = np.full(n_rx, dof, dtype=np.int64)
-    finish_t = np.full(n_rx, np.nan)
-    finish_packets = np.zeros(n_rx, dtype=np.int64)
-    finish_rounds = np.zeros(n_rx, dtype=np.int64)
-    j = start_slot % tau
-    t = 0.0
-    rounds = 0
-    sent = 0
-    while np.any(remaining > 0) and rounds < max_rounds:
-        need = int(remaining.max())
-        batch = sizing.batch_size(need, j)
-        coefs = (
-            field.random_symbols(crng, (batch, dof)) if field is not None else None
-        )
-        for k in range(batch):
-            s = (j + k) % tau
-            u = erng.random(n_rx)
-            if gens is None:
-                hit = (u >= pes[:, s]) & (remaining > 0)
-                remaining[hit] -= 1
-            else:
-                for rx in range(n_rx):
-                    if remaining[rx] > 0 and u[rx] >= pes[rx, s]:
-                        gens[rx].absorb(gens[rx].combine(coefs[k]))
-                        remaining[rx] = dof - gens[rx].rank
-        t += batch * params.t_p + params.t_w
-        rounds += 1
-        sent += batch
-        done_now = (remaining == 0) & np.isnan(finish_t)
-        finish_t[done_now] = t
-        finish_packets[done_now] = sent
-        finish_rounds[done_now] = rounds
-        j = (j + batch + params.ack_slot_advance) % tau
-    completed = remaining == 0
-    return finish_t, finish_packets, finish_rounds, completed, sent, rounds
+    policy = _policy_for(config.scheme, pe, sizing_pe)
+    out = _simulate(config, pe[None, :], policy, config.seed)
+    summaries, records = _report(config, out, [0])
+    summaries[0].records = records
+    return summaries[0]
 
 
 def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
@@ -397,92 +383,43 @@ def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
 
     Virtual-channel schemes drive one shared sender whose batches are
     sized on the virtual trace for the largest outstanding deficit in
-    the group; a receiver's clock stops at the end of the round that
-    completes it.  The nc/anc benchmarks run each receiver as an
-    independent point-to-point session.
+    the group.  The nc/anc benchmarks run each receiver as a group of
+    one, with its own policy and seed child, and sum the sender totals
+    per trial.
     """
-    params = config.params
     labels = list(group.labels)
-    n_rx = len(group)
-    if config.scheme in ("nc", "anc"):
-        seqs = _as_seedseq(config.seed).spawn(n_rx)
-        per_receiver = []
-        all_records: list[TrialRecord] = []
-        packets_by_trial = np.zeros(config.trials)
-        rounds_by_trial = np.zeros(config.trials)
-        for rx, trace in enumerate(group.receivers):
-            sub = replace(config, seed=seqs[rx], record_trials=True,
-                          method="per_trial")
-            records = _run_single_per_trial(
-                sub, _pe_array(trace), None, receiver=labels[rx]
-            )
-            per_receiver.append(_summarize_records(params, records))
-            packets_by_trial += [r.packets_sent for r in records]
-            rounds_by_trial += [r.rounds for r in records]
-            if config.record_trials:
-                all_records.extend(records)
-        return MulticastSummary(
-            scheme=config.scheme,
-            reference_receiver=None,
-            labels=labels,
-            per_receiver=per_receiver,
-            sender_packets=StatSummary.from_samples(packets_by_trial),
-            sender_rounds=StatSummary.from_samples(rounds_by_trial),
-            records=all_records if config.record_trials else None,
-        )
-
-    if config.scheme == MAXPE:
-        virtual = build_maxpe(group)
-    elif config.scheme == MAXCT:
-        virtual = build_maxct(group, params, config.start_slot)
-    else:
-        raise ValueError(f"unknown multicast scheme {config.scheme!r}")
-    sizing = AdaptivePolicy(virtual.pe)
     pes = np.vstack([_pe_array(tr) for tr in group.receivers])
-    seeds = _as_seedseq(config.seed).spawn(config.trials)
-    delays = np.empty((config.trials, n_rx))
-    packets = np.empty((config.trials, n_rx), dtype=np.int64)
-    rounds = np.empty((config.trials, n_rx), dtype=np.int64)
-    completed = np.empty((config.trials, n_rx), dtype=bool)
-    sender_packets = np.empty(config.trials, dtype=np.int64)
-    sender_rounds = np.empty(config.trials, dtype=np.int64)
-    records: list[TrialRecord] = []
-    for i, seed in enumerate(seeds):
-        ft, fp, fr, done, sent, nrounds = _multicast_trial(
-            i, seed, pes, sizing, params, config.field_spec,
-            config.payload_symbols, config.max_rounds, config.start_slot
-        )
-        delays[i] = ft
-        packets[i] = fp
-        rounds[i] = fr
-        completed[i] = done
-        sender_packets[i] = sent
-        sender_rounds[i] = nrounds
-        if config.record_trials:
-            for rx in range(n_rx):
-                records.append(
-                    TrialRecord(
-                        trial=i,
-                        receiver=labels[rx],
-                        completion_time=float(ft[rx]),
-                        packets_sent=int(fp[rx]),
-                        rounds=int(fr[rx]),
-                        completed=bool(done[rx]),
-                    )
-                )
-    per_receiver = [
-        _summarize(params.dof, delays[:, rx], packets[:, rx],
-                   rounds[:, rx], completed[:, rx])
-        for rx in range(n_rx)
-    ]
+    reference = None
+    if config.scheme in ("nc", "anc"):
+        seqs = _as_seedseq(config.seed).spawn(len(labels))
+        out = _join([
+            _simulate(config, pes[rx:rx + 1],
+                      _policy_for(config.scheme, pes[rx]), seqs[rx])
+            for rx in range(len(labels))
+        ], axis=1)
+        sender_packets = out.packets.sum(axis=1)
+        sender_rounds = out.rounds.sum(axis=1)
+    else:
+        if config.scheme == MAXPE:
+            virtual = build_maxpe(group)
+        elif config.scheme == MAXCT:
+            virtual = build_maxct(group, config.params, config.start_slot)
+        else:
+            raise ValueError(f"unknown multicast scheme {config.scheme!r}")
+        reference = virtual.reference_receiver
+        out = _simulate(config, pes, AdaptivePolicy(virtual.pe), config.seed)
+        # the sender stops with the last receiver it completes
+        sender_packets = out.packets.max(axis=1)
+        sender_rounds = out.rounds.max(axis=1)
+    per_receiver, records = _report(config, out, labels)
     return MulticastSummary(
         scheme=config.scheme,
-        reference_receiver=virtual.reference_receiver,
+        reference_receiver=reference,
         labels=labels,
         per_receiver=per_receiver,
         sender_packets=StatSummary.from_samples(sender_packets),
         sender_rounds=StatSummary.from_samples(sender_rounds),
-        records=records if config.record_trials else None,
+        records=records,
     )
 
 

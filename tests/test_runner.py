@@ -2,10 +2,13 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncmcast.runner import run_scenario, write_results_csv
+from ncmcast.completion import ModelParams
+from ncmcast.runner import _mc_summary_row, run_scenario, write_results_csv
 from ncmcast.scenario import load_scenario
+from ncmcast.simkit import SimConfig, run_single
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -19,6 +22,19 @@ ANALYTIC_CSV_SHA256 = {
         "7f5727c89b3361cde8ced8fe74b1e9c19e42624738ff256b4c55a0c9ebaf0785",
     ("geo-iv-defaults.yaml", 10.0):
         "195fb12aa3828ffb68c7a0a3a294411a1444b3390f313358145ca5a2c7c07018",
+}
+
+# SHA-256 of Monte Carlo results CSVs of geo-trend-demo at 7.0 dB on the
+# scenario's seed: RLNC decoding on every scheme (the per-trial loop), and
+# nc/anc under idealized decoding (the grouped kernel, one receiver at a
+# time).  A change to the simulator must leave these bytes as they are.
+# Ideal maxpe/maxct cells are left out, so that a change in the order of
+# their draws, which the statistical tests cover, re-records no hash.
+MONTECARLO_CSV_SHA256 = {
+    "rlnc": (dict(decoding="rlnc", trials=5),
+             "bfa5b5eb0cf0c4ea6164286c2d25d85499d0524746280b6ba66614ffb285dd5e"),
+    "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
+                     "1e1501c2fed5368c957bfd4ca7e5af91c2e9e2009d303a69dc6a0bb5ac1e3936"),
 }
 
 
@@ -36,6 +52,28 @@ def test_analytic_csv_is_byte_identical(name, ebn0, tmp_path):
     write_results_csv(path, run_scenario(point(name, ebn0)))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ANALYTIC_CSV_SHA256[name, ebn0]
+
+
+@pytest.mark.parametrize("case", sorted(MONTECARLO_CSV_SHA256))
+def test_montecarlo_csv_is_byte_identical(case, tmp_path):
+    changes, expected = MONTECARLO_CSV_SHA256[case]
+    path = tmp_path / "results.csv"
+    rows = run_scenario(point("geo-trend-demo.yaml", 7.0, **changes),
+                        engine="montecarlo")
+    write_results_csv(path, rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_montecarlo_cell_with_a_trial_out_of_rounds_is_na():
+    pe = np.full(5, 0.5)
+    config = SimConfig(trials=200, seed=3, scheme="nc", max_rounds=3,
+                       params=ModelParams(dof=4, t_p=1e-3, t_w=6e-3))
+    cut = run_single(config, pe)
+    assert 0 < cut.n_failures < cut.n_trials
+    assert _mc_summary_row("1", "nc", 7.0, cut)["delay_s"] is None
+    whole = run_single(replace(config, max_rounds=10_000), pe)
+    assert whole.n_failures == 0
+    assert _mc_summary_row("1", "nc", 7.0, whole)["delay_s"] is not None
 
 
 def test_montecarlo_virtual_failure_writes_one_row_per_cell(tmp_path):

@@ -5,6 +5,7 @@ from ncmcast.channel import ErasureTrace
 from ncmcast.completion import (
     AdaptivePolicy,
     CompletionModel,
+    InfeasibleWindowError,
     ModelParams,
     NonAdaptivePolicy,
 )
@@ -246,6 +247,72 @@ class TestMulticast:
         for rec in result.records:
             assert rec.completed
             assert rec.packets_sent >= PARAMS.dof
+
+
+    @pytest.mark.parametrize("decoding", ["ideal", FieldSpec(8)])
+    def test_group_of_one_is_a_single_receiver(self, decoding):
+        pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
+        base = dict(trials=300, seed=27, params=PARAMS, decoding=decoding,
+                    record_trials=True, method="per_trial")
+        multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
+                                  make_group([pe]))
+        single = run_single(SimConfig(**base, scheme="anc"), pe)
+
+        def outcomes(records):
+            return [(r.trial, r.completion_time, r.packets_sent, r.rounds,
+                     r.completed, r.dof_timeline) for r in records]
+
+        assert outcomes(multicast.records) == outcomes(single.records)
+        assert multicast.sender_packets.mean == single.packets.mean
+
+    def test_grouped_group_of_one_is_a_single_receiver(self):
+        pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
+        base = dict(trials=3000, seed=28, params=PARAMS, method="grouped")
+        multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
+                                  make_group([pe]))
+        single = run_single(SimConfig(**base, scheme="anc"), pe)
+        (own,) = multicast.per_receiver
+        assert own.delay.mean == single.delay.mean
+        assert own.packets.mean == single.packets.mean
+        assert own.rounds.mean == single.rounds.mean
+
+    def test_grouped_and_per_trial_multicast_agree(self):
+        group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
+                            [0.2, 0.2, 0.6, 0.1]])
+        base = dict(params=PARAMS, scheme="maxpe")
+        grouped = run_multicast(
+            SimConfig(trials=30_000, seed=29, method="grouped", **base), group
+        )
+        per_trial = run_multicast(
+            SimConfig(trials=6000, seed=30, method="per_trial", **base), group
+        )
+        pairs = [(g.delay, p.delay) for g, p in zip(grouped.per_receiver,
+                                                    per_trial.per_receiver)]
+        pairs.append((grouped.sender_packets, per_trial.sender_packets))
+        for a, b in pairs:
+            assert abs(a.mean - b.mean) / np.hypot(a.se, b.se) <= 3.5
+
+    def test_workers_do_not_change_rlnc_records(self):
+        group = make_group([[0.25, 0.15, 0.35], [0.1, 0.4, 0.2]])
+        base = dict(trials=60, seed=31, params=PARAMS, scheme="maxpe",
+                    decoding=FieldSpec(8), record_trials=True)
+        serial = run_multicast(SimConfig(**base, workers=1), group)
+        parallel = run_multicast(SimConfig(**base, workers=3), group)
+        assert serial.records == parallel.records
+
+    def test_uncovered_window_raises_from_workers(self):
+        # 0.05 packets per 8 slots: no batch within the cap covers a deficit
+        group = make_group([np.r_[0.95, np.ones(7)], np.zeros(8)])
+        cfg = SimConfig(trials=8, seed=32, params=PARAMS, scheme="maxpe",
+                        decoding=FieldSpec(8), workers=2)
+        with pytest.raises(InfeasibleWindowError):
+            run_multicast(cfg, group)
+
+    def test_grouped_requires_ideal_decoding(self):
+        cfg = SimConfig(trials=10, seed=1, params=PARAMS, scheme="maxpe",
+                        decoding=FieldSpec(8), method="grouped")
+        with pytest.raises(ValueError):
+            run_multicast(cfg, make_group([[0.1, 0.2], [0.3, 0.0]]))
 
 
 class TestDelayBands:
