@@ -10,7 +10,11 @@ adaptive (cover the deficit in expectation using a sizing trace).
 The expected-cost equations are linear and block-triangular in the
 remaining-DoF level; within a level each state couples to exactly one
 other state, so levels solve exactly by resolving the cycles of that
-successor map and back-substituting.
+successor map and back-substituting.  One fold of per-slot success
+counts gives the batch outcomes of every level, and each level is one
+walk of its successor map for the three right-hand sides: time, time
+at zero acknowledgment wait, and rounds.  Decoding is idealized: every
+received packet is innovative.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ErasureTrace
 
@@ -130,29 +135,45 @@ def batch_distribution_via_success_counts(pe_trace, start_slot: int,
     return dist
 
 
-def _batch_distributions_bulk(pe: np.ndarray, remaining: int,
-                              batches: np.ndarray) -> np.ndarray:
-    """Per-start-slot batch outcome distributions, one row per slot.
+def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Batch outcome distributions of every deficit level, from one fold.
 
-    Row j equals batch_distribution(pe, j, remaining, batches[j]); the
-    fold runs over all start slots simultaneously, stepping packet k of
-    every still-active batch at once.
+    The last r entries of [r-1, j] are batch_distribution(pe, j, r,
+    table[r-1, j])[1:], the chances of deficits 1..r.  Missing l of r
+    degrees of freedom means r - l successes, so one fold of success
+    counts serves every level: count c sits in column rows-1-c, where
+    rows = table.shape[0], and each level takes a snapshot of the counts
+    once its own batch has been sent.  Each step is the same two
+    products and one add as batch_distribution, so the entries are
+    bit-identical; the absorbed deficit 0 is not kept.  Slots are
+    stepped in order of their largest batch, so the ones still sending
+    are a leading block.
     """
-    tau = pe.size
-    v = np.zeros((tau, remaining + 1))
-    v[:, remaining] = 1.0
-    slots = np.arange(tau)
-    for k in range(int(batches.max())):
-        active = batches > k
-        idx = slots[active]
-        e = pe[(idx + k) % tau][:, None]
+    rows, tau = table.shape
+    last = table.max(axis=0, initial=0)
+    order = np.argsort(-last, kind="stable")
+    where = np.empty(tau, dtype=np.int64)
+    where[order] = np.arange(tau)
+    steps = int(last.max(initial=0))
+    # sending[k-1]: slots whose largest batch has k packets or more
+    sending = np.searchsorted(-last[order], -np.arange(1, steps + 1), side="right")
+    # flat (level, slot) entries by batch size; batch k is events[bounds[k]:bounds[k+1]]
+    events = np.argsort(table, axis=None, kind="stable")
+    bounds = np.searchsorted(table.ravel()[events], np.arange(steps + 2))
+    counts = np.zeros((tau, rows))
+    counts[:, -1:] = 1.0  # no successes yet; empty when no level is covered
+    snaps = np.empty((rows, tau, rows))
+    for k in range(1, steps + 1):
+        n = sending[k - 1]
+        sub = counts[:n]
+        e = pe[(order[:n] + (k - 1)) % tau][:, None]
         s = 1.0 - e
-        sub = v[active]
         nxt = sub * e
-        nxt[:, 0] += sub[:, 0] * s[:, 0]
         nxt[:, :-1] += sub[:, 1:] * s
-        v[active] = nxt
-    return v
+        counts[:n] = nxt
+        level, slot = np.divmod(events[bounds[k]:bounds[k + 1]], tau)
+        snaps[level, slot] = counts[where[slot]]
+    return snaps
 
 
 # -- batch sizing policies ----------------------------------------------------
@@ -188,19 +209,29 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     """anc_batch_size for every (remaining, start slot), 0 where infeasible.
 
     Entry [r-1, j] is the least N covering r degrees of freedom from slot
-    j, or 0 when no N <= 64*r does.  Each slot's column is one cumulative
-    sum over 64*dof slots; its prefix is bit-identical to the scalar
-    rule's shorter sum, so the table equals anc_batch_size exactly.
+    j, or 0 when no N <= 64*r does.  Each slot's row of partial sums over
+    64*dof slots is one sequential cumulative sum, bit-identical to the
+    scalar rule's shorter sum on its prefix.  A sum is below r exactly
+    when its floor is (the sums are nonnegative, so truncation is the
+    floor), and the floors never decrease along a row, so offsetting each
+    row's floors past the previous row's lets one sorted search find
+    every row's count of sums below r: the scalar rule's search position.
+    Slots go through in blocks of about 256 KiB of partial sums, which
+    stay in cache.
     """
     tau = pe.size
     window = 64 * dof
     received = np.tile(1.0 - pe, -(-(window + tau) // tau))
-    need = np.arange(1, dof + 1, dtype=float)
-    caps = 64 * np.arange(1, dof + 1)
+    windows = sliding_window_view(received, window)[:tau]
+    block = max(1, (1 << 18) // (8 * window))
+    need = np.arange(1, dof + 1)[:, None]
     table = np.empty((dof, tau), dtype=np.int64)
-    for j in range(tau):
-        pos = received[j:j + window].cumsum().searchsorted(need, side="left")
-        table[:, j] = np.where(pos < caps, pos + 1, 0)
+    for lo in range(0, tau, block):
+        sums = windows[lo:lo + block].cumsum(axis=1)
+        rows = np.arange(len(sums))
+        floors = sums.astype(np.int64) + (window + 1) * rows[:, None]
+        pos = floors.ravel().searchsorted((window + 1) * rows + need) - window * rows
+        table[:, lo:lo + len(sums)] = np.where(pos < 64 * need, pos + 1, 0)
     return table
 
 
@@ -267,52 +298,55 @@ class AdaptivePolicy:
 
 
 def _solve_level(b: list, c: list, successor: list) -> list:
-    """Solve T[j] = b[j] + c[j] * T[successor[j]] exactly.
+    """Solve T[k][j] = b[k][j] + c[j] * T[k][successor[j]] for k = 0, 1, 2.
 
     Each equation has a single coupling, so the successor map is a
     functional graph: resolve each cycle in closed form, then
-    back-substitute along the trees hanging off it.  Raises when a cycle
-    has unit stay probability everywhere (the batch windows on it are
-    fully erased).  Works on Python lists: the walk is scalar code.
+    back-substitute along the trees hanging off it.  The three
+    right-hand sides share the walk, which visits each slot once.
+    Raises when a cycle has unit stay probability everywhere (the batch
+    windows on it are fully erased).  Works on Python lists: the walk
+    is scalar code.
     """
-    tau = len(b)
-    UNSEEN, ON_PATH, DONE = 0, 1, 2
-    state = [UNSEEN] * tau
-    T = [0.0] * tau
+    b0, b1, b2 = b
+    tau = len(c)
+    T0, T1, T2 = [0.0] * tau, [0.0] * tau, [0.0] * tau
+    walk = [0] * tau  # 0 unseen, else 1 + the slot the walk started from
     for start in range(tau):
-        if state[start] != UNSEEN:
+        if walk[start]:
             continue
+        mark = start + 1
         path = []
         j = start
-        while state[j] == UNSEEN:
-            state[j] = ON_PATH
+        while not walk[j]:
+            walk[j] = mark
             path.append(j)
             j = successor[j]
-        if state[j] == ON_PATH:
+        if walk[j] == mark:
             k = path.index(j)
-            cycle = path[k:]
-            acc = 0.0
+            a0 = a1 = a2 = 0.0
             coef = 1.0
-            for node in cycle:
-                acc += coef * b[node]
+            for node in path[k:]:
+                a0 += coef * b0[node]
+                a1 += coef * b1[node]
+                a2 += coef * b2[node]
                 coef *= c[node]
             if coef >= 1.0:
                 raise InfeasibleModelError(
                     "batch windows along a slot cycle are fully erased; "
                     "completion is unreachable"
                 )
-            T[j] = acc / (1.0 - coef)
-            state[j] = DONE
-            for node in reversed(cycle[1:]):
-                T[node] = b[node] + c[node] * T[successor[node]]
-                state[node] = DONE
-            tail = path[:k]
-        else:
-            tail = path
-        for node in reversed(tail):
-            T[node] = b[node] + c[node] * T[successor[node]]
-            state[node] = DONE
-    return T
+            T0[j] = a0 / (1.0 - coef)
+            T1[j] = a1 / (1.0 - coef)
+            T2[j] = a2 / (1.0 - coef)
+            del path[k]
+        for node in reversed(path):
+            nxt = successor[node]
+            f = c[node]
+            T0[node] = b0[node] + f * T0[nxt]
+            T1[node] = b1[node] + f * T1[nxt]
+            T2[node] = b2[node] + f * T2[nxt]
+    return [T0, T1, T2]
 
 
 def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
@@ -321,29 +355,35 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     Returns an array of shape (3, dof+1, tau), one backward solve with
     three right-hand sides for a round of N packets: [0] the time
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
-    Row 0 of each is the absorbed level.
+    Row 0 of each is the absorbed level.  One fold gives the batch
+    outcomes of every level up to the first uncovered one, and each
+    level is one walk for all three right-hand sides.
     """
     tau = pe.size
     dof = params.dof
     ack = params.ack_slot_advance
     table = policy.table(dof, tau)
+    # the levels below the first uncovered window; that level raises below
+    covered = np.logical_and.accumulate(table.all(axis=1))
+    dists = _level_distributions(pe, table[covered])
     T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)
     for r in range(1, dof + 1):
         batches = table[r - 1]
         _require_covered(batches, r)
-        dists = _batch_distributions_bulk(pe, r, batches)
+        dist = dists[r - 1, :, -r:]
         successor = (slots + batches + ack) % tau
-        c = dists[:, r]
+        c = dist[:, -1]
         sent = batches * params.t_p
-        for k, b in enumerate((sent + params.t_w, sent, np.ones(tau))):
-            if r > 1:
-                b = b + np.einsum("jl,lj->j", dists[:, 1:r], T[k][1:r, successor])
-            level = np.array(_solve_level(b.tolist(), c.tolist(), successor.tolist()))
-            resid = np.abs(level - (b + c * level[successor]))
-            if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
-                raise ArithmeticError("expected-cost solve residual out of tolerance")
-            T[k, r] = level
+        b = np.stack((sent + params.t_w, sent, np.ones(tau)))
+        if r > 1:
+            for k in range(3):
+                b[k] += np.einsum("jl,lj->j", dist[:, :-1], T[k][1:r, successor])
+        level = np.array(_solve_level(b.tolist(), c.tolist(), successor.tolist()))
+        resid = np.abs(level - (b + c * level[:, successor]))
+        if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
+            raise ArithmeticError("expected-cost solve residual out of tolerance")
+        T[:, r] = level
     return T
 
 
@@ -380,6 +420,23 @@ class CompletionModel:
         """Expected number of feedback rounds until completion."""
         r = self.params.dof if remaining is None else remaining
         return float(self._solved()[2, r, start_slot % self.pe.size])
+
+
+def expected_delay_packets(pe_trace, params: ModelParams, policy,
+                           start_slot: int = 0):
+    """(expected time, average packets) from `start_slot`, one solve.
+
+    Returns the InfeasibleModelError the model raised instead, so that a
+    caller can keep an infeasible answer beside the others.  The error
+    drops its traceback, which would keep the solver's frames and their
+    arrays alive as long as the answer.
+    """
+    try:
+        model = CompletionModel(pe_trace, params, policy)
+        return (model.expected_time(start_slot=start_slot),
+                model.average_packets(start_slot=start_slot))
+    except InfeasibleModelError as exc:
+        return exc.with_traceback(None)
 
 
 def throughput(delivered_dof: int, completion_time: float) -> float:

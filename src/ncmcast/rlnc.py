@@ -127,11 +127,13 @@ class Generation:
             )
         c = coef.copy()
         p = pay.copy()
-        for r in range(self.rank):
-            f = c[self._pivots[r]]
-            if f:
-                c ^= field.mul(f, self._coef[r])
-                p ^= field.mul(f, self._pay[r])
+        if self.rank:
+            # stored rows are in reduced echelon form: eliminating one row
+            # leaves the other pivot entries alone, so every factor can be
+            # read from the packet as received
+            f = coef[self._pivots[: self.rank]][:, None]
+            c ^= np.bitwise_xor.reduce(field.mul(f, self._coef[: self.rank]), axis=0)
+            p ^= np.bitwise_xor.reduce(field.mul(f, self._pay[: self.rank]), axis=0)
         nonzero = np.nonzero(c)[0]
         if nonzero.size == 0:
             return False

@@ -14,14 +14,14 @@ import numpy as np
 from .channel import ChannelTrace, generate_trace, read_gain_trace, to_erasure_trace
 from .completion import (
     AdaptivePolicy,
-    CompletionModel,
     InfeasibleModelError,
     ModelParams,
     NonAdaptivePolicy,
+    expected_delay_packets,
 )
 from .scenario import SCHEMES, Scenario
 from .simkit import SimConfig, run_multicast, run_single
-from .virtualize import MulticastGroup, build_maxct, build_maxpe
+from .virtualize import MulticastGroup, build_maxpe, maxct_channel, own_adaptive
 
 RESULT_FIELDS = (
     "receiver",
@@ -90,16 +90,12 @@ def _na_group(labels, scheme, ebn0, engine) -> list[dict]:
     ]
 
 
-def _analytic_row(label, scheme, ebn0, pe_trace, params, policy,
-                  start_slot) -> dict:
-    try:
-        model = CompletionModel(pe_trace, params, policy)
-        delay = model.expected_time(start_slot=start_slot)
-        packets = model.average_packets(start_slot=start_slot)
-    except InfeasibleModelError:
+def _analytic_row(label, scheme, ebn0, answer, dof: int) -> dict:
+    """Row of one cell from its (delay, packets), NA for an infeasible model."""
+    if isinstance(answer, InfeasibleModelError):
         return _row(label, scheme, ebn0, "analytic")
-    return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
-                packets, 0.0)
+    delay, packets = answer
+    return _row(label, scheme, ebn0, "analytic", delay, dof / delay, packets, 0.0)
 
 
 def _analytic_point(scenario: Scenario, params: ModelParams, group,
@@ -107,36 +103,44 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
     rows = []
     j0 = scenario.start_slot
     labels = group.labels
+    schemes = scenario.schemes
+    # each receiver's own adaptive solve serves its anc cell, the maxct
+    # ranking and the V-MaxCT anc cell
+    own = own_adaptive(group, params, j0) if {"anc", "maxct"} & set(schemes) else []
 
-    for scheme in ("nc", "anc"):
-        if scheme not in scenario.schemes:
-            continue
-        for trace, label in zip(group.receivers, labels):
-            policy = (
-                NonAdaptivePolicy() if scheme == "nc" else AdaptivePolicy(trace)
-            )
-            rows.append(_analytic_row(label, scheme, ebn0, trace, params,
-                                      policy, j0))
+    def cell(label, scheme, answer) -> dict:
+        return _analytic_row(label, scheme, ebn0, answer, params.dof)
+
+    def solved(label, scheme, pe_trace, policy) -> dict:
+        return cell(label, scheme,
+                    expected_delay_packets(pe_trace, params, policy, j0))
+
+    if "nc" in schemes:
+        rows += [solved(label, "nc", trace, NonAdaptivePolicy())
+                 for trace, label in zip(group.receivers, labels)]
+    if "anc" in schemes:
+        rows += [cell(label, "anc", answer) for answer, label in zip(own, labels)]
 
     for scheme in ("maxpe", "maxct"):
-        if scheme not in scenario.schemes:
+        if scheme not in schemes:
             continue
         try:
             virtual = (
-                build_maxpe(group)
-                if scheme == "maxpe"
-                else build_maxct(group, params, j0)
+                build_maxpe(group) if scheme == "maxpe" else maxct_channel(group, own)
             )
         except InfeasibleModelError:
             rows.extend(_na_group(labels, scheme, ebn0, "analytic"))
             continue
         shared = AdaptivePolicy(virtual.pe)
-        for trace, label in zip(group.receivers, labels):
-            rows.append(_analytic_row(label, scheme, ebn0, trace, params,
-                                      shared, j0))
-        for vscheme, vpolicy in (("nc", NonAdaptivePolicy()), ("anc", shared)):
-            rows.append(_analytic_row(VIRTUAL_LABELS[scheme], vscheme, ebn0,
-                                      virtual.pe, params, vpolicy, j0))
+        rows += [solved(label, scheme, trace, shared)
+                 for trace, label in zip(group.receivers, labels)]
+        vlabel = VIRTUAL_LABELS[scheme]
+        rows.append(solved(vlabel, "nc", virtual.pe, NonAdaptivePolicy()))
+        rows.append(
+            solved(vlabel, "anc", virtual.pe, shared)
+            if scheme == "maxpe"
+            else cell(vlabel, "anc", own[labels.index(virtual.reference_receiver)])
+        )
     return rows
 
 

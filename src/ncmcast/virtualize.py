@@ -20,6 +20,7 @@ from .completion import (
     InfeasibleModelError,
     ModelParams,
     _require_covered,
+    expected_delay_packets,
 )
 
 MAXPE = "maxpe"
@@ -79,37 +80,52 @@ def build_maxpe(group: MulticastGroup) -> VirtualChannel:
     return VirtualChannel(pe=pe, scheme=MAXPE, reference_receiver=None)
 
 
-def build_maxct(group: MulticastGroup, params: ModelParams,
-                start_slot: int = 0) -> VirtualChannel:
+def own_adaptive(group: MulticastGroup, params: ModelParams,
+                 start_slot: int = 0) -> list:
+    """Each receiver's adaptive (delay, packets) on its own trace.
+
+    One solve per receiver, in receiver order; an infeasible receiver's
+    entry is the InfeasibleModelError its model raised.  `maxct_channel`
+    ranks these answers, and the analytic runner reads its `anc` cells
+    and the V-MaxCT `anc` cell from them.
+    """
+    return [
+        expected_delay_packets(trace, params, AdaptivePolicy(trace), start_slot)
+        for trace in group.receivers
+    ]
+
+
+def maxct_channel(group: MulticastGroup, own: list) -> VirtualChannel:
     """Virtual channel equal to the slowest receiver's own trace.
 
-    Ranks receivers by adaptive expected completion time from
-    `start_slot`; ties break toward the smallest label.  Infeasible
-    receivers propagate with their label attached.
+    Ranks receivers by the expected completion times in `own`, as
+    `own_adaptive` returns them; ties break toward the smallest label.
+    Infeasible receivers propagate with their label attached.
     """
-    best_label = None
+    best = None
     best_time = -np.inf
-    best_trace = None
-    order = np.argsort(group.labels)
-    for k in order:
-        trace = group.receivers[k]
-        label = group.labels[k]
-        try:
-            model = CompletionModel(trace, params, AdaptivePolicy(trace))
-            t = model.expected_time(start_slot=start_slot)
-        except InfeasibleModelError as exc:
-            raise InfeasibleModelError(f"receiver {label}: {exc}") from exc
-        if t > best_time:
-            best_time = t
-            best_label = label
-            best_trace = trace
+    for k in np.argsort(group.labels):
+        answer = own[k]
+        if isinstance(answer, InfeasibleModelError):
+            raise InfeasibleModelError(
+                f"receiver {group.labels[k]}: {answer}") from answer
+        if answer[0] > best_time:
+            best_time = answer[0]
+            best = k
+    trace = group.receivers[best]
     pe = ErasureTrace(
-        best_trace.pe.copy(),
-        eb_n0_db=best_trace.eb_n0_db,
-        bits_per_packet=best_trace.bits_per_packet,
-        receiver_id=best_trace.receiver_id,
+        trace.pe.copy(),
+        eb_n0_db=trace.eb_n0_db,
+        bits_per_packet=trace.bits_per_packet,
+        receiver_id=trace.receiver_id,
     )
-    return VirtualChannel(pe=pe, scheme=MAXCT, reference_receiver=best_label)
+    return VirtualChannel(pe=pe, scheme=MAXCT, reference_receiver=group.labels[best])
+
+
+def build_maxct(group: MulticastGroup, params: ModelParams,
+                start_slot: int = 0) -> VirtualChannel:
+    """Virtual channel of the receiver slowest to complete from `start_slot`."""
+    return maxct_channel(group, own_adaptive(group, params, start_slot))
 
 
 @dataclass

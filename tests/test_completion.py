@@ -390,3 +390,97 @@ class TestSingleSolve:
         model.average_packets()
         model.expected_rounds()
         assert len(calls) == 1
+
+
+def single_rhs_solve(b, c, successor):
+    """One right-hand side per walk: the solver's former form, its reference."""
+    tau = len(b)
+    UNSEEN, ON_PATH, DONE = 0, 1, 2
+    state = [UNSEEN] * tau
+    T = [0.0] * tau
+    for start in range(tau):
+        if state[start] != UNSEEN:
+            continue
+        path = []
+        j = start
+        while state[j] == UNSEEN:
+            state[j] = ON_PATH
+            path.append(j)
+            j = successor[j]
+        if state[j] == ON_PATH:
+            k = path.index(j)
+            cycle = path[k:]
+            acc = 0.0
+            coef = 1.0
+            for node in cycle:
+                acc += coef * b[node]
+                coef *= c[node]
+            if coef >= 1.0:
+                raise InfeasibleModelError("fully erased cycle")
+            T[j] = acc / (1.0 - coef)
+            state[j] = DONE
+            for node in reversed(cycle[1:]):
+                T[node] = b[node] + c[node] * T[successor[node]]
+                state[node] = DONE
+            tail = path[:k]
+        else:
+            tail = path
+        for node in reversed(tail):
+            T[node] = b[node] + c[node] * T[successor[node]]
+            state[node] = DONE
+    return T
+
+
+@st.composite
+def functional_graphs(draw):
+    """A successor map with its stay probabilities and three right-hand sides.
+
+    Arbitrary successors give self-loops, several cycles and trees hanging
+    off them; a stay probability of 1.0 can make a cycle fully erased.
+    """
+    tau = draw(st.integers(1, 30))
+    successor = draw(st.lists(st.integers(0, tau - 1), min_size=tau, max_size=tau))
+    stay = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 0.999))
+    c = draw(st.lists(stay, min_size=tau, max_size=tau))
+    cost = st.floats(0.0, 1e3)
+    b = [draw(st.lists(cost, min_size=tau, max_size=tau)) for _ in range(3)]
+    return b, c, successor
+
+
+class TestOnePassSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(pe=traces, dof=st.integers(1, 6))
+    def test_shared_fold_snapshots_equal_batch_distribution(self, pe, dof):
+        for policy in (AdaptivePolicy(pe), NonAdaptivePolicy()):
+            table = policy.table(dof, pe.size)
+            covered = table.all(axis=1)
+            table = table[:dof if covered.all() else covered.argmin()]
+            snaps = completion._level_distributions(pe, table)
+            for r in range(1, table.shape[0] + 1):
+                for j in range(pe.size):
+                    want = batch_distribution(pe, j, r, int(table[r - 1, j]))[1:]
+                    assert snaps[r - 1, j, -r:].tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=functional_graphs())
+    def test_one_walk_equals_three_single_walks(self, system):
+        b, c, successor = system
+        try:
+            want = [single_rhs_solve(col, c, successor) for col in b]
+        except InfeasibleModelError:
+            with pytest.raises(InfeasibleModelError):
+                completion._solve_level(b, c, successor)
+            return
+        assert completion._solve_level(b, c, successor) == want
+
+    def test_sizing_table_equals_scalar_rule_across_blocks(self):
+        # 64*10 partial sums per slot: about 200 slots fill one block
+        pe = np.random.default_rng(5).random(450) ** 3
+        table = AdaptivePolicy(pe).table(10, pe.size)
+        for r in range(1, 11):
+            for j in range(pe.size):
+                try:
+                    want = anc_batch_size(pe, j, r)
+                except InfeasibleWindowError:
+                    want = 0
+                assert table[r - 1, j] == want

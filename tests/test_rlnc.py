@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmcast.gf import GF2m
 from ncmcast.rlnc import CodedPacket, DimensionError, Generation, payload_symbols
@@ -184,3 +185,55 @@ def test_round_trip_fuzz(m):
             guard += 1
             assert guard < 500
         assert np.array_equal(rx.decode(), gen.source_payloads)
+
+
+def sequential_absorb(gen, packet):
+    """Row-by-row elimination: the former body of Generation.absorb, its reference."""
+    field = gen.field
+    c = np.asarray(packet.coefficients, dtype=field.dtype).copy()
+    p = np.asarray(packet.payload, dtype=field.dtype).copy()
+    for r in range(gen.rank):
+        f = c[gen._pivots[r]]
+        if f:
+            c ^= field.mul(f, gen._coef[r])
+            p ^= field.mul(f, gen._pay[r])
+    nonzero = np.nonzero(c)[0]
+    if nonzero.size == 0:
+        return False
+    piv = int(nonzero[0])
+    scale = field.inv(c[piv])
+    c = field.mul(scale, c)
+    p = field.mul(scale, p)
+    if gen.rank:
+        f = gen._coef[: gen.rank, piv].copy()
+        gen._coef[: gen.rank] ^= field.mul(f[:, None], c[None, :])
+        gen._pay[: gen.rank] ^= field.mul(f[:, None], p[None, :])
+    gen._coef[gen.rank] = c
+    gen._pay[gen.rank] = p
+    gen._pivots[gen.rank] = piv
+    gen.rank += 1
+    return True
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_absorb_equals_sequential_elimination(m, data):
+    gf = GF2m(m)
+    size = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 4))
+    # zeros and a two-symbol alphabet make dependent packets common
+    symbol = st.one_of(st.just(0), st.sampled_from([1, gf.q - 1]),
+                       st.integers(0, gf.q - 1))
+    rows = st.lists(symbol, min_size=size + width, max_size=size + width)
+    packets = data.draw(st.lists(rows, min_size=1, max_size=3 * size))
+    got = Generation(gf, np.zeros((size, width), dtype=gf.dtype))
+    want = Generation(gf, np.zeros((size, width), dtype=gf.dtype))
+    for row in packets:
+        row = np.array(row, dtype=gf.dtype)
+        packet = CodedPacket(row[:size], row[size:])
+        assert got.absorb(packet) == sequential_absorb(want, packet)
+        assert got.rank == want.rank
+        assert np.array_equal(got.coefficient_rows, want.coefficient_rows)
+        assert np.array_equal(got._pay[: got.rank], want._pay[: want.rank])
+        assert np.array_equal(got.pivot_columns, want.pivot_columns)

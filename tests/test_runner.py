@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncmcast import completion
 from ncmcast.completion import ModelParams
 from ncmcast.runner import _mc_summary_row, run_scenario, write_results_csv
 from ncmcast.scenario import load_scenario
@@ -22,6 +23,15 @@ ANALYTIC_CSV_SHA256 = {
         "7f5727c89b3361cde8ced8fe74b1e9c19e42624738ff256b4c55a0c9ebaf0785",
     ("geo-iv-defaults.yaml", 10.0):
         "195fb12aa3828ffb68c7a0a3a294411a1444b3390f313358145ca5a2c7c07018",
+}
+
+# SHA-256 of the analytic results CSV of each shipped scenario's full
+# sweep, under the same rule.
+FULL_SWEEP_SHA256 = {
+    "geo-trend-demo.yaml":
+        "85655a80308556becaffccb7c0bdb2f6d03b1d2e6652ffa113c871d99ee92bab",
+    "geo-iv-defaults.yaml":
+        "c8acc18b67aac0a31d8fdf1c3ef4705018efad4309a3e9e5d1fe3fd352ff2e9e",
 }
 
 # SHA-256 of Monte Carlo results CSVs of geo-trend-demo at 7.0 dB on the
@@ -52,6 +62,30 @@ def test_analytic_csv_is_byte_identical(name, ebn0, tmp_path):
     write_results_csv(path, run_scenario(point(name, ebn0)))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ANALYTIC_CSV_SHA256[name, ebn0]
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SWEEP_SHA256))
+def test_full_analytic_sweep_is_byte_identical(name, tmp_path):
+    path = tmp_path / "results.csv"
+    write_results_csv(path, run_scenario(load_scenario(SCENARIOS / name)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_SWEEP_SHA256[name]
+
+
+def test_analytic_point_solves_each_own_channel_once(monkeypatch):
+    # 10 receivers: nc 10, anc 10 (also ranking maxct and giving V-MaxCT
+    # anc), maxpe 10 + 2, maxct 10 + V-MaxCT nc
+    calls = []
+    solve = completion._expected_cost
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(completion, "_expected_cost", counted)
+    rows = run_scenario(point("geo-trend-demo.yaml", 7.0))
+    assert len(rows) == 44
+    assert all(row["delay_s"] is not None for row in rows)
+    assert len(calls) == 43
 
 
 @pytest.mark.parametrize("case", sorted(MONTECARLO_CSV_SHA256))
