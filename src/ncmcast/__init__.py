@@ -26,7 +26,6 @@ from .completion import (
     NonAdaptivePolicy,
     anc_batch_size,
     batch_distribution,
-    nc_batch_size,
     throughput,
 )
 from .gf import FieldSpec, GF2m
@@ -35,11 +34,9 @@ from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
 from .simkit import SimConfig, SimSummary, run_multicast, run_single
 from .virtualize import (
     MulticastGroup,
-    MulticastPlan,
     VirtualChannel,
     build_maxct,
     build_maxpe,
-    multicast_plan,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +55,6 @@ __all__ = [
     "LmsParams",
     "ModelParams",
     "MulticastGroup",
-    "MulticastPlan",
     "NonAdaptivePolicy",
     "Scenario",
     "ScenarioError",
@@ -75,8 +71,6 @@ __all__ = [
     "generate_trace",
     "load_scenario",
     "low_height_building_default",
-    "multicast_plan",
-    "nc_batch_size",
     "payload_symbols",
     "run_multicast",
     "run_single",

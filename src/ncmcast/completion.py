@@ -198,13 +198,6 @@ def anc_batch_size(pe_trace, start_slot: int, remaining: int) -> int:
     return pos + 1
 
 
-def nc_batch_size(remaining: int) -> int:
-    """Non-adaptive benchmark batch: exactly the missing DoF count."""
-    if remaining < 1:
-        raise ValueError("remaining must be >= 1")
-    return remaining
-
-
 def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     """anc_batch_size for every (remaining, start slot), 0 where infeasible.
 
@@ -235,21 +228,15 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     return table
 
 
-def _require_covered(table: np.ndarray, first_remaining: int = 1) -> None:
-    """Raise InfeasibleWindowError at the first 0 entry in level-major order."""
-    zeros = np.flatnonzero(table == 0)
+def _require_covered(batches: np.ndarray, remaining: int) -> None:
+    """Raise InfeasibleWindowError at the first 0 in one level's batches."""
+    zeros = np.flatnonzero(batches == 0)
     if zeros.size:
-        r, j = divmod(int(zeros[0]), table.shape[-1])
-        raise InfeasibleWindowError(j, first_remaining + r)
+        raise InfeasibleWindowError(int(zeros[0]), remaining)
 
 
 class NonAdaptivePolicy:
     """Channel-oblivious sizing: each round sends the deficit, uncompensated."""
-
-    name = "nc"
-
-    def batch_size(self, remaining: int, slot: int) -> int:
-        return nc_batch_size(remaining)
 
     def table(self, dof: int, tau: int) -> np.ndarray:
         """Batch for r = 1..dof deficits (rows) at every slot (columns)."""
@@ -265,16 +252,9 @@ class AdaptivePolicy:
     per policy, built on first use and rebuilt only for a larger deficit.
     """
 
-    name = "anc"
-
     def __init__(self, sizing_trace):
         self.sizing_pe = _pe_array(sizing_trace)
         self._table = np.zeros((0, self.sizing_pe.size), dtype=np.int64)
-
-    def _rows(self, dof: int) -> np.ndarray:
-        if dof > self._table.shape[0]:
-            self._table = _sizing_table(self.sizing_pe, dof)
-        return self._table
 
     def table(self, dof: int, tau: int) -> np.ndarray:
         """Batch for r = 1..dof deficits (rows) at every slot (columns).
@@ -282,16 +262,9 @@ class AdaptivePolicy:
         Slot j reads the sizing trace at j mod its length; 0 marks a
         window no batch within 64*r covers.
         """
-        return self._rows(dof)[:dof, np.arange(tau) % self.sizing_pe.size]
-
-    def batch_size(self, remaining: int, slot: int) -> int:
-        if remaining < 1:
-            raise ValueError("remaining must be >= 1")
-        slot = slot % self.sizing_pe.size
-        n = int(self._rows(remaining)[remaining - 1, slot])
-        if n == 0:
-            raise InfeasibleWindowError(slot, remaining)
-        return n
+        if dof > self._table.shape[0]:
+            self._table = _sizing_table(self.sizing_pe, dof)
+        return self._table[:dof, np.arange(tau) % self.sizing_pe.size]
 
 
 # -- expected-cost solver -----------------------------------------------------

@@ -132,14 +132,18 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
             rows.extend(_na_group(labels, scheme, ebn0, "analytic"))
             continue
         shared = AdaptivePolicy(virtual.pe)
-        rows += [solved(label, scheme, trace, shared)
+        # the V-MaxCT trace is a copy of the reference receiver's own, so
+        # its maxct cell and the V-MaxCT anc cell are its own answer
+        ref = virtual.reference_receiver
+        rows += [cell(label, scheme, own[labels.index(ref)]) if label == ref
+                 else solved(label, scheme, trace, shared)
                  for trace, label in zip(group.receivers, labels)]
         vlabel = VIRTUAL_LABELS[scheme]
         rows.append(solved(vlabel, "nc", virtual.pe, NonAdaptivePolicy()))
         rows.append(
             solved(vlabel, "anc", virtual.pe, shared)
             if scheme == "maxpe"
-            else cell(vlabel, "anc", own[labels.index(virtual.reference_receiver)])
+            else cell(vlabel, "anc", own[labels.index(ref)])
         )
     return rows
 

@@ -18,8 +18,10 @@ Two kernels run a group:
   sharing a (largest deficit, slot) state together.  It is statistically
   equivalent but consumes random numbers in a different order.
 
-`method="auto"` picks the grouped kernel for idealized decoding unless
-trial records are kept, and the per-trial loop otherwise.
+The per-trial loop runs for RLNC decoding or when trial records are
+kept, and the grouped kernel otherwise.  Both read every batch from the
+policy's table, taken once per run; a trial raises only when it visits
+a window the table marks uncovered.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .completion import (
     AdaptivePolicy,
+    InfeasibleWindowError,
     ModelParams,
     NonAdaptivePolicy,
     _pe_array,
@@ -57,7 +60,6 @@ class SimConfig:
     max_rounds: int = 10_000
     payload_symbols: int = 4
     record_trials: bool = False
-    method: str = "auto"  # auto | per_trial | grouped
     workers: int = 1
 
     def __post_init__(self):
@@ -65,8 +67,6 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.method not in ("auto", "per_trial", "grouped"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -149,11 +149,11 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _policy_for(scheme: str, own_pe: np.ndarray, sizing_pe=None):
+def _policy_for(scheme: str, own_pe: np.ndarray):
     if scheme == "nc":
         return NonAdaptivePolicy()
     if scheme == "anc":
-        return AdaptivePolicy(own_pe if sizing_pe is None else sizing_pe)
+        return AdaptivePolicy(own_pe)
     raise ValueError(f"single-receiver scheme must be nc or anc, got {scheme!r}")
 
 
@@ -187,6 +187,14 @@ def _join(parts: list[_Outcome], axis: int) -> _Outcome:
                       for a in zip(*(vars(p).values() for p in parts))))
 
 
+def _batch(table: np.ndarray, remaining: int, slot: int) -> int:
+    """The sizing table's batch for `remaining` at `slot`; 0 is uncovered."""
+    n = int(table[remaining - 1, slot])
+    if n == 0:
+        raise InfeasibleWindowError(slot, remaining)
+    return n
+
+
 # -- per-trial loop (any decoding) ---------------------------------------------
 
 
@@ -196,7 +204,7 @@ def _trial_rngs(trial_seed: np.random.SeedSequence):
 
 
 def _per_trial(args) -> _Outcome:
-    (seeds, pes, policy, params, field_spec, payload_symbols, max_rounds,
+    (seeds, pes, table, params, field_spec, payload_symbols, max_rounds,
      start_slot, keep_timeline) = args
     n_rx, tau = pes.shape
     dof = params.dof
@@ -217,7 +225,7 @@ def _per_trial(args) -> _Outcome:
         sent = 0
         while remaining.any() and rounds < max_rounds:
             live = remaining > 0
-            batch = policy.batch_size(int(remaining.max()), j)
+            batch = _batch(table, int(remaining.max()), j)
             slots = (j + np.arange(batch)) % tau
             survive = erng.random((batch, n_rx)) >= pes[:, slots].T
             if field is None:
@@ -247,8 +255,8 @@ def _per_trial(args) -> _Outcome:
 # -- grouped kernel (idealized decoding) ---------------------------------------
 
 
-def _grouped(seed, pes: np.ndarray, policy, params: ModelParams, trials: int,
-             max_rounds: int, start_slot: int) -> _Outcome:
+def _grouped(seed, pes: np.ndarray, table: np.ndarray, params: ModelParams,
+             trials: int, max_rounds: int, start_slot: int) -> _Outcome:
     rng = np.random.default_rng(_as_seedseq(seed))
     n_rx, tau = pes.shape
     q = 1.0 - pes
@@ -269,7 +277,7 @@ def _grouped(seed, pes: np.ndarray, policy, params: ModelParams, trials: int,
         for g, key in enumerate(uniq):
             members = active[order[bounds[g]:bounds[g + 1]]]
             r, j = divmod(int(key), tau)
-            batch = policy.batch_size(r, j)
+            batch = _batch(table, r, j)
             qs = q[:, (j + np.arange(batch)) % tau].T[:, None, :]
             # packets in blocks of about DRAW_BLOCK draws: the same stream as
             # one (members, receivers) draw per packet, in fewer calls
@@ -292,24 +300,17 @@ def _grouped(seed, pes: np.ndarray, policy, params: ModelParams, trials: int,
 
 
 def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
-    """Trials of a sender that sizes each batch by `policy` at the largest
-    outstanding deficit, to receivers with erasure rows `pes` (receivers,
-    slots); the kernel is chosen by `config.method`."""
+    """Trials of a sender that sizes each batch from `policy`'s table at
+    the largest outstanding deficit, to receivers with erasure rows `pes`
+    (receivers, slots); RLNC decoding or kept records take the per-trial
+    loop, anything else the grouped kernel."""
     field_spec = config.field_spec
-    method = config.method
-    if method == "auto":
-        method = (
-            "grouped"
-            if field_spec is None and not config.record_trials
-            else "per_trial"
-        )
-    if method == "grouped":
-        if field_spec is not None:
-            raise ValueError("grouped method supports idealized decoding only")
-        return _grouped(seed, pes, policy, config.params, config.trials,
+    table = policy.table(config.params.dof, pes.shape[1])
+    if field_spec is None and not config.record_trials:
+        return _grouped(seed, pes, table, config.params, config.trials,
                         config.max_rounds, config.start_slot)
     seeds = _as_seedseq(seed).spawn(config.trials)
-    common = (pes, policy, config.params, field_spec, config.payload_symbols,
+    common = (pes, table, config.params, field_spec, config.payload_symbols,
               config.max_rounds, config.start_slot, config.record_trials)
     if config.workers == 1:
         return _per_trial((seeds,) + common)
@@ -363,16 +364,11 @@ def _report(config: SimConfig, out: _Outcome, labels: list):
     return summaries, records
 
 
-def run_single(config: SimConfig, trace, sizing_trace=None) -> SimSummary:
-    """Simulate one receiver; returns aggregate trial statistics.
-
-    `sizing_trace` overrides the adaptive policy's sizing channel, which
-    reproduces a receiver following a shared multicast plan.
-    """
+def run_single(config: SimConfig, trace) -> SimSummary:
+    """Simulate one receiver; returns aggregate trial statistics."""
     pe = _pe_array(trace)
-    sizing_pe = None if sizing_trace is None else _pe_array(sizing_trace)
-    policy = _policy_for(config.scheme, pe, sizing_pe)
-    out = _simulate(config, pe[None, :], policy, config.seed)
+    out = _simulate(config, pe[None, :], _policy_for(config.scheme, pe),
+                    config.seed)
     summaries, records = _report(config, out, [0])
     summaries[0].records = records
     return summaries[0]
@@ -421,14 +417,3 @@ def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
         sender_rounds=StatSummary.from_samples(sender_rounds),
         records=records,
     )
-
-
-def write_trial_records(path, records: list[TrialRecord]):
-    """Dump per-trial outcomes as CSV."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("trial,receiver,delay_s,packets,rounds\n")
-        for r in records:
-            fh.write(
-                f"{r.trial},{r.receiver},{r.completion_time!r},"
-                f"{r.packets_sent},{r.rounds}\n"
-            )

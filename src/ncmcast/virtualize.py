@@ -2,9 +2,8 @@
 
 Two constructions: the per-slot worst erasure across all receivers
 (max-erasure), and the verbatim trace of the receiver with the largest
-expected completion time (max-completion-time).  A transmission plan
-sized on the virtual trace is what the sender applies to every receiver
-in the group.
+expected completion time (max-completion-time).  The sender sizes the
+batches for every receiver in the group on the virtual trace.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import numpy as np
 from .channel import ErasureTrace
 from .completion import (
     AdaptivePolicy,
-    CompletionModel,
     InfeasibleModelError,
     ModelParams,
-    _require_covered,
     expected_delay_packets,
 )
 
@@ -126,38 +123,3 @@ def build_maxct(group: MulticastGroup, params: ModelParams,
                 start_slot: int = 0) -> VirtualChannel:
     """Virtual channel of the receiver slowest to complete from `start_slot`."""
     return maxct_channel(group, own_adaptive(group, params, start_slot))
-
-
-@dataclass
-class MulticastPlan:
-    """Batch sizes the sender uses for every receiver, sized on a virtual trace.
-
-    batch_sizes[r-1, j] is the batch for r outstanding degrees of freedom
-    when the next transmission slot is j.  expected_time is the adaptive
-    expected completion time of the virtual receiver itself.
-    """
-
-    scheme: str
-    reference_receiver: int | None
-    batch_sizes: np.ndarray
-    expected_time: float
-    start_slot: int
-
-    def batch_size(self, remaining: int, slot: int) -> int:
-        return int(self.batch_sizes[remaining - 1, slot % self.batch_sizes.shape[1]])
-
-
-def multicast_plan(virtual: VirtualChannel, params: ModelParams,
-                   start_slot: int = 0) -> MulticastPlan:
-    """Full sizing table plus the virtual receiver's expected completion time."""
-    policy = AdaptivePolicy(virtual.pe)
-    table = policy.table(params.dof, len(virtual.pe))
-    _require_covered(table)
-    model = CompletionModel(virtual.pe, params, policy)
-    return MulticastPlan(
-        scheme=virtual.scheme,
-        reference_receiver=virtual.reference_receiver,
-        batch_sizes=table,
-        expected_time=model.expected_time(start_slot=start_slot),
-        start_slot=start_slot,
-    )

@@ -15,7 +15,6 @@ from ncmcast.completion import (
     anc_batch_size,
     batch_distribution,
     batch_distribution_via_success_counts,
-    nc_batch_size,
     throughput,
 )
 from ncmcast.simkit import SimConfig, run_single
@@ -45,13 +44,14 @@ def dense_solve(pe, params, policy):
     n = dof * tau
     A = np.eye(n)
     b = np.zeros(n)
+    table = policy.table(dof, tau)
 
     def sid(r, j):
         return (r - 1) * tau + j
 
     for r in range(1, dof + 1):
         for j in range(tau):
-            batch = policy.batch_size(r, j)
+            batch = int(table[r - 1, j])
             dist = batch_distribution(pe, j, r, batch)
             jn = (j + batch + ack) % tau
             b[sid(r, j)] = batch * params.t_p + params.t_w
@@ -150,13 +150,6 @@ class TestAncBatchSize:
         pe = np.full(1, 1.0 - i / (64 * i))
         assert anc_batch_size(pe, 0, i) == 64 * i
 
-    def test_nc_batch_size(self):
-        assert nc_batch_size(10) == 10
-        assert nc_batch_size(1) == 1
-        assert nc_batch_size(4) == 4
-        with pytest.raises(ValueError):
-            nc_batch_size(0)
-
 
 class TestSolve:
     def test_single_deterministic_round(self):
@@ -201,9 +194,10 @@ class TestSolve:
         params = ModelParams(dof=4, t_p=1e-3, t_w=8e-3, ack_slot_advance=1)
         policy = AdaptivePolicy(pe)
         times = CompletionModel(pe, params, policy).solve()
+        table = policy.table(params.dof, pe.size)
         for r in range(1, 5):
             for j in range(10):
-                n = policy.batch_size(r, j)
+                n = int(table[r - 1, j])
                 dist = batch_distribution(pe, j, r, n)
                 jn = (j + n + 1) % 10
                 rhs = n * params.t_p + params.t_w
@@ -343,12 +337,8 @@ class TestSizingTable:
                 except InfeasibleWindowError as exc:
                     assert table[r - 1, j] == 0
                     assert (exc.start_slot, exc.remaining) == (j, r)
-                    with pytest.raises(InfeasibleWindowError) as err:
-                        policy.batch_size(r, j)
-                    assert (err.value.start_slot, err.value.remaining) == (j, r)
                 else:
                     assert table[r - 1, j] == want
-                    assert policy.batch_size(r, j) == want
 
     @settings(max_examples=60, deadline=None)
     @given(pe=traces, dof=st.integers(1, 5))

@@ -72,8 +72,9 @@ def test_full_analytic_sweep_is_byte_identical(name, tmp_path):
 
 
 def test_analytic_point_solves_each_own_channel_once(monkeypatch):
-    # 10 receivers: nc 10, anc 10 (also ranking maxct and giving V-MaxCT
-    # anc), maxpe 10 + 2, maxct 10 + V-MaxCT nc
+    # 10 receivers: nc 10, anc 10 (also ranking maxct and giving the
+    # reference receiver's maxct cell and V-MaxCT anc), maxpe 10 + 2,
+    # maxct 9 + V-MaxCT nc
     calls = []
     solve = completion._expected_cost
 
@@ -85,7 +86,7 @@ def test_analytic_point_solves_each_own_channel_once(monkeypatch):
     rows = run_scenario(point("geo-trend-demo.yaml", 7.0))
     assert len(rows) == 44
     assert all(row["delay_s"] is not None for row in rows)
-    assert len(calls) == 43
+    assert len(calls) == 42
 
 
 @pytest.mark.parametrize("case", sorted(MONTECARLO_CSV_SHA256))

@@ -10,12 +10,7 @@ from ncmcast.completion import (
     NonAdaptivePolicy,
 )
 from ncmcast.gf import FieldSpec
-from ncmcast.simkit import (
-    SimConfig,
-    run_multicast,
-    run_single,
-    write_trial_records,
-)
+from ncmcast.simkit import SimConfig, run_multicast, run_single
 from ncmcast.virtualize import MulticastGroup
 
 PARAMS = ModelParams(dof=4, t_p=1e-3, t_w=6e-3)
@@ -47,14 +42,16 @@ class TestRunSingle:
             assert rec.completed
 
     @pytest.mark.parametrize("scheme", ["anc", "nc"])
-    @pytest.mark.parametrize("method", ["grouped", "per_trial"])
-    def test_oracle_agreement(self, scheme, method):
+    @pytest.mark.parametrize("kernel", ["grouped", "per_trial"])
+    def test_oracle_agreement(self, scheme, kernel):
         pe = np.array([0.2, 0.35, 0.1, 0.3, 0.05, 0.25])
         policy = AdaptivePolicy(pe) if scheme == "anc" else NonAdaptivePolicy()
         analytic = CompletionModel(pe, PARAMS, policy).expected_time()
-        trials = 60_000 if method == "grouped" else 12_000
+        per_trial = kernel == "per_trial"
+        trials = 12_000 if per_trial else 60_000
+        # kept records take the per-trial loop on ideal decoding
         cfg = SimConfig(trials=trials, seed=2, params=PARAMS, scheme=scheme,
-                        method=method)
+                        record_trials=per_trial)
         summary = run_single(cfg, pe)
         assert summary.n_failures == 0
         z = abs(summary.delay.mean - analytic) / summary.delay.se
@@ -84,7 +81,7 @@ class TestRunSingle:
     def test_workers_do_not_change_results(self):
         pe = np.array([0.25, 0.15, 0.35, 0.1])
         base = dict(trials=400, seed=9, params=PARAMS, scheme="anc",
-                    record_trials=True, method="per_trial")
+                    record_trials=True)
         serial = run_single(SimConfig(**base, workers=1), pe)
         parallel = run_single(SimConfig(**base, workers=3), pe)
         assert [r.completion_time for r in serial.records] == [
@@ -97,12 +94,11 @@ class TestRunSingle:
     def test_grouped_and_per_trial_statistically_equal(self):
         pe = np.array([0.2, 0.4, 0.1])
         a = run_single(
-            SimConfig(trials=40_000, seed=10, params=PARAMS, scheme="anc",
-                      method="grouped"), pe
+            SimConfig(trials=40_000, seed=10, params=PARAMS, scheme="anc"), pe
         )
         b = run_single(
             SimConfig(trials=40_000, seed=11, params=PARAMS, scheme="anc",
-                      method="per_trial"), pe
+                      record_trials=True), pe
         )
         z = abs(a.delay.mean - b.delay.mean) / np.hypot(a.delay.se, b.delay.se)
         assert z <= 3.5
@@ -117,24 +113,18 @@ class TestRunSingle:
         assert summary.status == "warning"
         assert np.isnan(summary.delay.mean)
 
-    def test_grouped_requires_ideal_decoding(self):
-        cfg = SimConfig(trials=10, seed=1, params=PARAMS, scheme="anc",
-                        decoding=FieldSpec(8), method="grouped")
-        with pytest.raises(ValueError):
-            run_single(cfg, np.zeros(3))
-
     def test_packets_match_planned_batches(self):
         pe = np.array([0.5, 0.2])
         cfg = SimConfig(trials=200, seed=13, params=PARAMS, scheme="anc",
                         record_trials=True)
         summary = run_single(cfg, pe)
-        policy = AdaptivePolicy(pe)
+        table = AdaptivePolicy(pe).table(PARAMS.dof, pe.size)
         for rec in summary.records:
             # replay the planned batch sizes along the recorded dof timeline
             j = 0
             total = 0
             for remaining in rec.dof_timeline[:-1]:
-                n = policy.batch_size(remaining, j)
+                n = int(table[remaining - 1, j])
                 total += n
                 j = (j + n + PARAMS.ack_slot_advance) % 2
             assert rec.packets_sent == total
@@ -143,7 +133,7 @@ class TestRunSingle:
 class TestRlncDecoding:
     def test_large_field_matches_ideal_paired(self):
         pe = np.array([0.3, 0.15, 0.25])
-        base = dict(trials=1500, seed=14, params=PARAMS, method="per_trial",
+        base = dict(trials=1500, seed=14, params=PARAMS,
                     scheme="anc", record_trials=True)
         ideal = run_single(SimConfig(**base, decoding="ideal"), pe)
         real = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe)
@@ -157,7 +147,7 @@ class TestRlncDecoding:
 
     def test_small_field_measurably_slower(self):
         pe = np.array([0.3, 0.15, 0.25])
-        base = dict(trials=4000, seed=15, params=PARAMS, method="per_trial",
+        base = dict(trials=4000, seed=15, params=PARAMS,
                     scheme="anc", record_trials=True)
         ideal = run_single(SimConfig(**base, decoding="ideal"), pe)
         real = run_single(SimConfig(**base, decoding=FieldSpec(4)), pe)
@@ -196,7 +186,7 @@ class TestMulticast:
         result = run_multicast(cfg, group)
         assert result.per_receiver[0].rounds.mean == 1.0
         expected_round1 = (
-            AdaptivePolicy(np.full(4, 0.5)).batch_size(PARAMS.dof, 0)
+            AdaptivePolicy(np.full(4, 0.5)).table(PARAMS.dof, 4)[-1, 0]
             * PARAMS.t_p + PARAMS.t_w
         )
         assert result.per_receiver[0].delay.mean == pytest.approx(
@@ -253,7 +243,7 @@ class TestMulticast:
     def test_group_of_one_is_a_single_receiver(self, decoding):
         pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
         base = dict(trials=300, seed=27, params=PARAMS, decoding=decoding,
-                    record_trials=True, method="per_trial")
+                    record_trials=True)
         multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
                                   make_group([pe]))
         single = run_single(SimConfig(**base, scheme="anc"), pe)
@@ -267,7 +257,7 @@ class TestMulticast:
 
     def test_grouped_group_of_one_is_a_single_receiver(self):
         pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
-        base = dict(trials=3000, seed=28, params=PARAMS, method="grouped")
+        base = dict(trials=3000, seed=28, params=PARAMS)
         multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
                                   make_group([pe]))
         single = run_single(SimConfig(**base, scheme="anc"), pe)
@@ -280,11 +270,9 @@ class TestMulticast:
         group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
                             [0.2, 0.2, 0.6, 0.1]])
         base = dict(params=PARAMS, scheme="maxpe")
-        grouped = run_multicast(
-            SimConfig(trials=30_000, seed=29, method="grouped", **base), group
-        )
+        grouped = run_multicast(SimConfig(trials=30_000, seed=29, **base), group)
         per_trial = run_multicast(
-            SimConfig(trials=6000, seed=30, method="per_trial", **base), group
+            SimConfig(trials=6000, seed=30, record_trials=True, **base), group
         )
         pairs = [(g.delay, p.delay) for g, p in zip(grouped.per_receiver,
                                                     per_trial.per_receiver)]
@@ -300,19 +288,20 @@ class TestMulticast:
         parallel = run_multicast(SimConfig(**base, workers=3), group)
         assert serial.records == parallel.records
 
-    def test_uncovered_window_raises_from_workers(self):
-        # 0.05 packets per 8 slots: no batch within the cap covers a deficit
+    @pytest.mark.parametrize(
+        "decoding, workers",
+        [("ideal", 1), (FieldSpec(8), 2)],
+        ids=["grouped", "per_trial-workers"],
+    )
+    def test_uncovered_window_raises_from_workers(self, decoding, workers):
+        # 0.05 packets per 8 slots: no batch within the cap covers a deficit,
+        # and every trial starts in the state (slot 0, deficit 4)
         group = make_group([np.r_[0.95, np.ones(7)], np.zeros(8)])
         cfg = SimConfig(trials=8, seed=32, params=PARAMS, scheme="maxpe",
-                        decoding=FieldSpec(8), workers=2)
-        with pytest.raises(InfeasibleWindowError):
+                        decoding=decoding, workers=workers)
+        with pytest.raises(InfeasibleWindowError) as err:
             run_multicast(cfg, group)
-
-    def test_grouped_requires_ideal_decoding(self):
-        cfg = SimConfig(trials=10, seed=1, params=PARAMS, scheme="maxpe",
-                        decoding=FieldSpec(8), method="grouped")
-        with pytest.raises(ValueError):
-            run_multicast(cfg, make_group([[0.1, 0.2], [0.3, 0.0]]))
+        assert (err.value.start_slot, err.value.remaining) == (0, 4)
 
 
 class TestDelayBands:
@@ -341,19 +330,3 @@ class TestDelayBands:
         gap2 = grouped[2].min() - grouped[1].max()
         spread = max(np.ptp(grouped[b]) for b in range(3))
         assert min(gap1, gap2) > spread
-
-
-class TestRecordsDump:
-    def test_csv_schema(self, tmp_path):
-        pe = np.array([0.2, 0.1])
-        cfg = SimConfig(trials=20, seed=24, params=PARAMS, scheme="anc",
-                        record_trials=True)
-        summary = run_single(cfg, pe)
-        path = tmp_path / "records.csv"
-        write_trial_records(path, summary.records)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "trial,receiver,delay_s,packets,rounds"
-        assert len(lines) == 21
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[2]) > 0
