@@ -71,9 +71,12 @@ class GF2m:
         return result
 
     def _build_tables(self):
+        # log[0] = 2(q - 1) and exp is zero from 2(q - 1) on, so a sum of
+        # logs with any zero operand lands in the zero region: one gather
+        # multiplies without masking zeros
         q = self.q
-        exp = np.zeros(2 * (q - 1), dtype=self.dtype)
-        log = np.zeros(q, dtype=np.int64)
+        exp = np.zeros(4 * (q - 1) + 1, dtype=self.dtype)
+        log = np.full(q, 2 * (q - 1), dtype=np.int32)
         a = 1
         for k in range(q - 1):
             exp[k] = a
@@ -83,7 +86,7 @@ class GF2m:
                 a ^= self.poly
         if a != 1:
             raise ValueError(f"0x{self.poly:X} is not primitive for m={self.m}")
-        exp[q - 1:] = exp[: q - 1]
+        exp[q - 1:2 * (q - 1)] = exp[: q - 1]
         self._exp = exp
         self._log = log
 
@@ -96,10 +99,7 @@ class GF2m:
 
     def mul(self, a, b):
         """a * b, broadcasting over array arguments."""
-        a = np.asarray(a, self.dtype)
-        b = np.asarray(b, self.dtype)
         out = self._exp[self._log[a] + self._log[b]]
-        out = np.where((a == 0) | (b == 0), self.dtype(0), out)
         return int(out) if out.ndim == 0 else out
 
     def mul_carryless(self, a, b):
@@ -121,8 +121,7 @@ class GF2m:
 
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on zero input."""
-        a = np.asarray(a, self.dtype)
-        if np.any(a == 0):
+        if np.count_nonzero(a) != np.size(a):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         out = self._exp[(self.q - 1) - self._log[a]]
         return int(out) if out.ndim == 0 else out

@@ -3,7 +3,9 @@
 A generation is a block of source packets coded together.  The sender
 emits random linear combinations; a receiver eliminates them into reduced
 row-echelon form and can reconstruct the sources exactly once it has
-collected a full-rank set.
+collected a full-rank set.  `Span` is that elimination on its own: a
+receiver that only needs its rank feeds it coefficient vectors, and
+`Generation` feeds it coefficients and payload as one row.
 """
 
 from __future__ import annotations
@@ -42,12 +44,72 @@ class CodedPacket:
     payload: np.ndarray
 
 
-class Generation:
+class Span:
+    """Span of received rows, kept in reduced row-echelon form.
+
+    Pivots are taken from the first `n_coef` columns only, so a row of
+    `width` symbols is a coefficient vector with anything appended that
+    must be eliminated alongside it.  `rank` equals the row rank of the
+    absorbed coefficient vectors at all times.
+    """
+
+    def __init__(self, field: GF2m, n_coef: int, width: int | None = None):
+        width = n_coef if width is None else width
+        self.field = field
+        self.n_coef = n_coef
+        self._rows = np.zeros((n_coef, width), dtype=field.dtype)
+        self._pivots = np.full(n_coef, -1, dtype=np.int64)
+        self.rank = 0
+
+    @property
+    def is_complete(self) -> bool:
+        return self.rank == self.n_coef
+
+    @property
+    def pivot_columns(self) -> np.ndarray:
+        return self._pivots[: self.rank].copy()
+
+    def absorb(self, row) -> bool:
+        """Eliminate a row into the span.
+
+        Returns True iff its coefficients were innovative (rank increased
+        by one).
+        """
+        field = self.field
+        row = np.asarray(row, dtype=field.dtype)
+        if row.shape != self._rows.shape[1:]:
+            raise DimensionError(
+                f"row length {row.shape} does not match span width "
+                f"{self._rows.shape[1]}"
+            )
+        rank = self.rank
+        if rank:
+            # stored rows are in reduced echelon form: eliminating one row
+            # leaves the other pivot entries alone, so every factor can be
+            # read from the row as received
+            f = row[self._pivots[:rank]][:, None]
+            row = row ^ np.bitwise_xor.reduce(field.mul(f, self._rows[:rank]), axis=0)
+        nonzero = np.flatnonzero(row[: self.n_coef])
+        if nonzero.size == 0:
+            return False
+        piv = int(nonzero[0])
+        row = field.mul(field.inv(row[piv]), row)
+        if rank:
+            f = self._rows[:rank, piv].copy()
+            self._rows[:rank] ^= field.mul(f[:, None], row[None, :])
+        self._rows[rank] = row
+        self._pivots[rank] = piv
+        self.rank += 1
+        return True
+
+
+class Generation(Span):
     """Coding state for one block of source packets.
 
     Holds the source payloads (sender side) and the accumulated
-    elimination rows (receiver side).  `rank` equals the row rank of the
-    absorbed coefficient matrix at all times.
+    elimination rows (receiver side), each coefficient vector followed by
+    its payload.  `rank` equals the row rank of the absorbed coefficient
+    matrix at all times.
     """
 
     def __init__(self, field: GF2m, source_payloads):
@@ -56,14 +118,11 @@ class Generation:
             raise ValueError("source_payloads must be a nonempty 2-D array")
         if np.any(sources >= field.q):
             raise ValueError("source symbols exceed the field order")
-        self.field = field
         self.size = sources.shape[0]
+        super().__init__(field, self.size, self.size + sources.shape[1])
         self.source_payloads = sources
-        n_sym = sources.shape[1]
-        self._coef = np.zeros((self.size, self.size), dtype=field.dtype)
-        self._pay = np.zeros((self.size, n_sym), dtype=field.dtype)
-        self._pivots = np.full(self.size, -1, dtype=np.int64)
-        self.rank = 0
+        self._coef = self._rows[:, : self.size]
+        self._pay = self._rows[:, self.size:]
 
     @classmethod
     def random(cls, field: GF2m, size: int, n_payload_symbols: int,
@@ -72,17 +131,9 @@ class Generation:
         return cls(field, field.random_symbols(rng, (size, n_payload_symbols)))
 
     @property
-    def is_complete(self) -> bool:
-        return self.rank == self.size
-
-    @property
     def coefficient_rows(self) -> np.ndarray:
         """Copy of the absorbed coefficient rows (reduced echelon form)."""
         return self._coef[: self.rank].copy()
-
-    @property
-    def pivot_columns(self) -> np.ndarray:
-        return self._pivots[: self.rank].copy()
 
     # -- sender side -----------------------------------------------------
 
@@ -112,44 +163,19 @@ class Generation:
 
         Returns True iff the packet was innovative (rank increased by one).
         """
-        field = self.field
-        coef = np.asarray(packet.coefficients, dtype=field.dtype)
+        coef = np.asarray(packet.coefficients, dtype=self.field.dtype)
         if coef.shape != (self.size,):
             raise DimensionError(
                 f"coefficient length {coef.shape} does not match "
                 f"generation size {self.size}"
             )
-        pay = np.asarray(packet.payload, dtype=field.dtype)
+        pay = np.asarray(packet.payload, dtype=self.field.dtype)
         if pay.shape != (self._pay.shape[1],):
             raise DimensionError(
                 f"payload length {pay.shape} does not match generation "
                 f"payload width {self._pay.shape[1]}"
             )
-        c = coef.copy()
-        p = pay.copy()
-        if self.rank:
-            # stored rows are in reduced echelon form: eliminating one row
-            # leaves the other pivot entries alone, so every factor can be
-            # read from the packet as received
-            f = coef[self._pivots[: self.rank]][:, None]
-            c ^= np.bitwise_xor.reduce(field.mul(f, self._coef[: self.rank]), axis=0)
-            p ^= np.bitwise_xor.reduce(field.mul(f, self._pay[: self.rank]), axis=0)
-        nonzero = np.nonzero(c)[0]
-        if nonzero.size == 0:
-            return False
-        piv = int(nonzero[0])
-        scale = field.inv(c[piv])
-        c = field.mul(scale, c)
-        p = field.mul(scale, p)
-        if self.rank:
-            f = self._coef[: self.rank, piv].copy()
-            self._coef[: self.rank] ^= field.mul(f[:, None], c[None, :])
-            self._pay[: self.rank] ^= field.mul(f[:, None], p[None, :])
-        self._coef[self.rank] = c
-        self._pay[self.rank] = p
-        self._pivots[self.rank] = piv
-        self.rank += 1
-        return True
+        return super().absorb(np.concatenate((coef, pay)))
 
     def decode(self):
         """Recovered source payloads, or None while rank < size."""

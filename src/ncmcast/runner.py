@@ -115,9 +115,9 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
         return cell(label, scheme,
                     expected_delay_packets(pe_trace, params, policy, j0))
 
-    if "nc" in schemes:
-        rows += [solved(label, "nc", trace, NonAdaptivePolicy())
-                 for trace, label in zip(group.receivers, labels)]
+    nc = [expected_delay_packets(trace, params, NonAdaptivePolicy(), j0)
+          for trace in group.receivers] if "nc" in schemes else []
+    rows += [cell(label, "nc", answer) for answer, label in zip(nc, labels)]
     if "anc" in schemes:
         rows += [cell(label, "anc", answer) for answer, label in zip(own, labels)]
 
@@ -133,13 +133,16 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
             continue
         shared = AdaptivePolicy(virtual.pe)
         # the V-MaxCT trace is a copy of the reference receiver's own, so
-        # its maxct cell and the V-MaxCT anc cell are its own answer
+        # its maxct cell and the V-MaxCT cells are its own answers
         ref = virtual.reference_receiver
         rows += [cell(label, scheme, own[labels.index(ref)]) if label == ref
                  else solved(label, scheme, trace, shared)
                  for trace, label in zip(group.receivers, labels)]
         vlabel = VIRTUAL_LABELS[scheme]
-        rows.append(solved(vlabel, "nc", virtual.pe, NonAdaptivePolicy()))
+        if scheme == "maxct" and nc:
+            rows.append(cell(vlabel, "nc", nc[labels.index(ref)]))
+        else:
+            rows.append(solved(vlabel, "nc", virtual.pe, NonAdaptivePolicy()))
         rows.append(
             solved(vlabel, "anc", virtual.pe, shared)
             if scheme == "maxpe"

@@ -7,7 +7,10 @@ round-trip acknowledgments.  A single receiver is a group of one.  A
 receiver's clock stops at the end of the round that completes it.
 Decoding is either idealized (every received packet is one degree of
 freedom) or real random linear coding over a configured field, where
-dependent combinations waste receptions.
+dependent combinations waste receptions.  A coded receiver completes
+when its coefficient vectors reach full rank, so it tracks only their
+span (`rlnc.Span`); payloads play no part, and only `rlnc.Generation`
+codes them.
 
 Two kernels run a group:
 
@@ -40,7 +43,7 @@ from .completion import (
     _pe_array,
 )
 from .gf import FieldSpec, field_for
-from .rlnc import Generation
+from .rlnc import Span
 from .virtualize import MAXCT, MAXPE, MulticastGroup, build_maxct, build_maxpe
 
 FAILURE_WARNING_RATE = 0.01
@@ -213,8 +216,12 @@ def _per_trial(args) -> _Outcome:
     for i, seed in enumerate(seeds):
         erng, crng = _trial_rngs(seed)
         if field is not None:
-            sources = field.random_symbols(crng, (dof, payload_symbols))
-            gens = [Generation(field, sources) for _ in range(n_rx)]
+            # the rank of the coefficients alone decides completion, so no
+            # payload is coded; this unused draw keeps the coding stream,
+            # and so every RLNC result, byte-identical to receivers that
+            # decoded payloads
+            field.random_symbols(crng, (dof, payload_symbols))
+            spans = [Span(field, dof) for _ in range(n_rx)]
         if keep_timeline:
             for rx in range(n_rx):
                 out.timelines[i, rx] = [dof]
@@ -233,12 +240,12 @@ def _per_trial(args) -> _Outcome:
             else:
                 coefs = field.random_symbols(crng, (batch, dof))
                 for rx in np.flatnonzero(live):
-                    gen = gens[rx]
+                    span = spans[rx]
                     for k in np.flatnonzero(survive[:, rx]):
-                        gen.absorb(gen.combine(coefs[k]))
-                        if gen.is_complete:
+                        span.absorb(coefs[k])
+                        if span.is_complete:
                             break
-                    remaining[rx] = dof - gen.rank
+                    remaining[rx] = dof - span.rank
             t += batch * params.t_p + params.t_w
             j = (j + batch + params.ack_slot_advance) % tau
             rounds += 1

@@ -108,3 +108,28 @@ def test_table_mul_matches_carryless_route(m):
     a = rng.integers(0, gf.q, 5000, dtype=gf.dtype)
     b = rng.integers(0, gf.q, 5000, dtype=gf.dtype)
     assert np.array_equal(gf.mul(a, b), gf.mul_carryless(a, b))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_mul_by_zero_either_side_matches_carryless(m):
+    # a zero operand takes log 2(q - 1) into the zero region of exp
+    gf = GF2m(m)
+    a = np.arange(gf.q, dtype=gf.dtype)
+    zero = np.zeros_like(a)
+    for x, y in ((a, zero), (zero, a)):
+        got = gf.mul(x, y)
+        assert got.dtype == gf.dtype
+        assert np.array_equal(got, gf.mul_carryless(x, y))
+        assert not got.any()
+    assert gf.mul(0, 0) == 0
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_mul_at_largest_logs_matches_carryless(m):
+    gf = GF2m(m)
+    top = int(gf._exp[gf.q - 2])
+    assert gf._log[top] == gf.q - 2
+    assert gf.mul(top, top) == gf.mul_carryless(top, top)
+    assert gf.mul(top, gf.inv(top)) == 1
+    for other in (0, 1, top):
+        assert gf.mul(top, other) == gf._poly_mul_int(top, other)

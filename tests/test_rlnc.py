@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncmcast.gf import GF2m
-from ncmcast.rlnc import CodedPacket, DimensionError, Generation, payload_symbols
+from ncmcast.rlnc import CodedPacket, DimensionError, Generation, Span, payload_symbols
 
 
 def unit_packet(gen, k):
@@ -237,3 +237,36 @@ def test_absorb_equals_sequential_elimination(m, data):
         assert np.array_equal(got.coefficient_rows, want.coefficient_rows)
         assert np.array_equal(got._pay[: got.rank], want._pay[: want.rank])
         assert np.array_equal(got.pivot_columns, want.pivot_columns)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_span_tracks_the_codec(m, data):
+    """A rank-only receiver fed coefficient vectors keeps the rank and
+    pivots of a generation that codes and eliminates whole packets."""
+    gf = GF2m(m)
+    size = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 4))
+    symbol = st.one_of(st.just(0), st.sampled_from([1, gf.q - 1]),
+                       st.integers(0, gf.q - 1))
+    sources = data.draw(st.lists(st.lists(symbol, min_size=width, max_size=width),
+                                 min_size=size, max_size=size))
+    rows = data.draw(st.lists(st.lists(symbol, min_size=size, max_size=size),
+                              min_size=1, max_size=4 * size))
+    gen = Generation(gf, np.array(sources, dtype=gf.dtype))
+    rx = Generation(gf, np.zeros((size, width), dtype=gf.dtype))
+    span = Span(gf, size)
+    for row in rows:
+        row = np.array(row, dtype=gf.dtype)
+        assert span.absorb(row) == rx.absorb(gen.combine(row))
+        assert span.rank == rx.rank
+        assert np.array_equal(span.pivot_columns, rx.pivot_columns)
+        if rx.is_complete:
+            assert np.array_equal(rx.decode(), gen.source_payloads)
+
+
+def test_span_rejects_a_row_of_the_wrong_width():
+    span = Span(GF2m(8), 3)
+    with pytest.raises(DimensionError):
+        span.absorb(np.ones(1, dtype=np.uint8))

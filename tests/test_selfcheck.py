@@ -1,6 +1,7 @@
 import time
 
 import ncmcast.channel as channel_mod
+from ncmcast.gf import GF2m
 from ncmcast.selfcheck import run_selfcheck
 
 TRUE_ERASURE_PROB = channel_mod.erasure_prob
@@ -37,3 +38,18 @@ def test_corrupted_bit_error_formula_caught(monkeypatch):
     monkeypatch.setattr(channel_mod, "bit_error_prob", scaled)
     results = {r.name: r for r in run_selfcheck()}
     assert not results["erasure-formula"].passed
+
+
+def test_corrupted_zero_log_caught(monkeypatch):
+    """Mutation probe: a zero whose log leaves the zero region of the
+    antilog table multiplies like one, and the field check must see it."""
+    build = GF2m._build_tables
+
+    def corrupted(self):
+        build(self)
+        self._log[0] = 0
+
+    monkeypatch.setattr(GF2m, "_build_tables", corrupted)
+    results = {r.name: r for r in run_selfcheck()}
+    assert not results["field-axioms"].passed
+    assert "carryless" in results["field-axioms"].detail
