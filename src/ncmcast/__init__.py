@@ -26,10 +26,9 @@ from .completion import (
     NonAdaptivePolicy,
     anc_batch_size,
     batch_distribution,
-    throughput,
 )
 from .gf import FieldSpec, GF2m
-from .rlnc import CodedPacket, Generation, payload_symbols
+from .rlnc import CodedPacket, Generation
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
 from .simkit import SimConfig, SimSummary, run_multicast, run_single
 from .virtualize import (
@@ -71,10 +70,8 @@ __all__ = [
     "generate_trace",
     "load_scenario",
     "low_height_building_default",
-    "payload_symbols",
     "run_multicast",
     "run_single",
     "save_scenario",
-    "throughput",
     "to_erasure_trace",
 ]

@@ -410,10 +410,3 @@ def expected_delay_packets(pe_trace, params: ModelParams, policy,
                 model.average_packets(start_slot=start_slot))
     except InfeasibleModelError as exc:
         return exc.with_traceback(None)
-
-
-def throughput(delivered_dof: int, completion_time: float) -> float:
-    """Delivered packets per second for one solved point."""
-    if completion_time <= 0:
-        raise ValueError("completion_time must be > 0")
-    return delivered_dof / completion_time

@@ -21,21 +21,6 @@ class DimensionError(ValueError):
     """Packet shape does not match the generation."""
 
 
-def payload_symbols(bits_per_packet: int, order_exponent: int) -> int:
-    """Number of field symbols holding a payload of the given bit size.
-
-    The payload must align to whole symbols.
-    """
-    if bits_per_packet < 1:
-        raise ValueError("bits_per_packet must be >= 1")
-    if bits_per_packet % order_exponent != 0:
-        raise ValueError(
-            f"payload of {bits_per_packet} bits does not align to "
-            f"{order_exponent}-bit symbols"
-        )
-    return bits_per_packet // order_exponent
-
-
 @dataclass
 class CodedPacket:
     """A coded packet: combination coefficients plus the combined payload."""

@@ -1,13 +1,19 @@
 """Sweep orchestration: evaluate every (receiver, scheme, Eb/N0) cell.
 
 Produces flat result rows for the analytic engine, the Monte Carlo
-engine, or both.  Cells whose model is infeasible (a trace too erased to
-cover the block within the batch cap) are flagged with NA values and the
+engine, or both.  At each Eb/N0 point one plan (`_Plan`) decides how
+every cell sizes its batches, and both engines read it, so each table
+and each own-channel solve is made once.  The per-receiver maxpe/maxct
+Monte Carlo cells still simulate the whole group behind one shared
+sender.  Cells whose model is infeasible (a trace too erased to cover
+the block within the batch cap) are flagged with NA values and the
 sweep continues.  So are Monte Carlo cells where any trial ran out of
 rounds, since a mean over the trials that completed is biased low.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,15 +104,54 @@ def _analytic_row(label, scheme, ebn0, answer, dof: int) -> dict:
     return _row(label, scheme, ebn0, "analytic", delay, dof / delay, packets, 0.0)
 
 
-def _analytic_point(scenario: Scenario, params: ModelParams, group,
+@dataclass
+class _Plan:
+    """How each cell of one Eb/N0 point sizes its batches, for every engine.
+
+    `own` holds each receiver's own adaptive policy, and `answers` their
+    analytic (delay, packets) when a cell needs them: the analytic `anc`
+    cells and the maxct ranking.  `virtual` maps each requested virtual
+    scheme to (reference trace, shared policy, reference label), or to
+    the InfeasibleModelError that leaves the scheme undefined.  The
+    V-MaxCT trace is the reference receiver's own, so its shared policy
+    is that receiver's own policy: one table.
+    """
+
+    group: MulticastGroup
+    own: list[AdaptivePolicy]
+    answers: list
+    virtual: dict
+
+
+def _plan(scenario: Scenario, params: ModelParams, group: MulticastGroup,
+          analytic: bool) -> _Plan:
+    schemes = scenario.schemes
+    own = [AdaptivePolicy(trace) for trace in group.receivers]
+    answers = (
+        own_adaptive(group, own, params, scenario.start_slot)
+        if "maxct" in schemes or (analytic and "anc" in schemes) else []
+    )
+    virtual = {}
+    if "maxpe" in schemes:
+        pe = build_maxpe(group).pe
+        virtual["maxpe"] = (pe, AdaptivePolicy(pe), None)
+    if "maxct" in schemes:
+        try:
+            ct = maxct_channel(group, answers)
+        except InfeasibleModelError as exc:
+            virtual["maxct"] = exc.with_traceback(None)
+        else:
+            ref = ct.reference_receiver
+            virtual["maxct"] = (ct.pe, own[group.labels.index(ref)], ref)
+    return _Plan(group, own, answers, virtual)
+
+
+def _analytic_point(scenario: Scenario, params: ModelParams, plan: _Plan,
                     ebn0: float) -> list[dict]:
     rows = []
     j0 = scenario.start_slot
-    labels = group.labels
-    schemes = scenario.schemes
-    # each receiver's own adaptive solve serves its anc cell, the maxct
-    # ranking and the V-MaxCT anc cell
-    own = own_adaptive(group, params, j0) if {"anc", "maxct"} & set(schemes) else []
+    receivers = plan.group.receivers
+    labels = plan.group.labels
 
     def cell(label, scheme, answer) -> dict:
         return _analytic_row(label, scheme, ebn0, answer, params.dof)
@@ -116,38 +161,28 @@ def _analytic_point(scenario: Scenario, params: ModelParams, group,
                     expected_delay_packets(pe_trace, params, policy, j0))
 
     nc = [expected_delay_packets(trace, params, NonAdaptivePolicy(), j0)
-          for trace in group.receivers] if "nc" in schemes else []
+          for trace in receivers] if "nc" in scenario.schemes else []
     rows += [cell(label, "nc", answer) for answer, label in zip(nc, labels)]
-    if "anc" in schemes:
-        rows += [cell(label, "anc", answer) for answer, label in zip(own, labels)]
+    if "anc" in scenario.schemes:
+        rows += [cell(label, "anc", answer)
+                 for answer, label in zip(plan.answers, labels)]
 
-    for scheme in ("maxpe", "maxct"):
-        if scheme not in schemes:
-            continue
-        try:
-            virtual = (
-                build_maxpe(group) if scheme == "maxpe" else maxct_channel(group, own)
-            )
-        except InfeasibleModelError:
+    for scheme, virtual in plan.virtual.items():
+        if isinstance(virtual, InfeasibleModelError):
             rows.extend(_na_group(labels, scheme, ebn0, "analytic"))
             continue
-        shared = AdaptivePolicy(virtual.pe)
-        # the V-MaxCT trace is a copy of the reference receiver's own, so
-        # its maxct cell and the V-MaxCT cells are its own answers
-        ref = virtual.reference_receiver
-        rows += [cell(label, scheme, own[labels.index(ref)]) if label == ref
+        pe, shared, ref = virtual
+        # a reference receiver's own trace sizes the batches, so its cell
+        # and the virtual cells are its own answers
+        own = None if ref is None else labels.index(ref)
+        rows += [cell(label, scheme, plan.answers[own]) if label == ref
                  else solved(label, scheme, trace, shared)
-                 for trace, label in zip(group.receivers, labels)]
+                 for trace, label in zip(receivers, labels)]
         vlabel = VIRTUAL_LABELS[scheme]
-        if scheme == "maxct" and nc:
-            rows.append(cell(vlabel, "nc", nc[labels.index(ref)]))
-        else:
-            rows.append(solved(vlabel, "nc", virtual.pe, NonAdaptivePolicy()))
-        rows.append(
-            solved(vlabel, "anc", virtual.pe, shared)
-            if scheme == "maxpe"
-            else cell(vlabel, "anc", own[labels.index(ref)])
-        )
+        rows.append(cell(vlabel, "nc", nc[own]) if own is not None and nc
+                    else solved(vlabel, "nc", pe, NonAdaptivePolicy()))
+        rows.append(solved(vlabel, "anc", pe, shared) if own is None
+                    else cell(vlabel, "anc", plan.answers[own]))
     return rows
 
 
@@ -165,9 +200,10 @@ def _cell_seed(scenario_seed: int, ebn0: float, scheme: str,
     return (scenario_seed, int(round(ebn0 * 1000)) + 10**6, SCHEMES.index(scheme), rk)
 
 
-def _mc_point(scenario: Scenario, params: ModelParams, group, ebn0: float,
-              trials: int, workers: int) -> list[dict]:
+def _mc_point(scenario: Scenario, params: ModelParams, plan: _Plan,
+              ebn0: float, trials: int, workers: int) -> list[dict]:
     rows = []
+    group = plan.group
     labels = group.labels
 
     def config(scheme, receiver) -> SimConfig:
@@ -176,42 +212,38 @@ def _mc_point(scenario: Scenario, params: ModelParams, group, ebn0: float,
             seed=np.random.SeedSequence(_cell_seed(scenario.seed, ebn0, scheme,
                                                    receiver)),
             params=params,
-            scheme=scheme,
             decoding=scenario.decoding,
             start_slot=scenario.start_slot,
             workers=workers,
         )
 
-    def single(label, scheme, trace, receiver) -> dict:
+    def single(label, scheme, trace, policy, receiver) -> dict:
         try:
-            summary = run_single(config(scheme, receiver), trace)
+            summary = run_single(config(scheme, receiver), trace, policy)
         except InfeasibleModelError:
             return _row(label, scheme, ebn0, "montecarlo")
         return _mc_summary_row(label, scheme, ebn0, summary)
 
-    for scheme in ("nc", "anc"):
-        if scheme not in scenario.schemes:
-            continue
-        for trace, label in zip(group.receivers, labels):
-            rows.append(single(label, scheme, trace, label))
+    sizing = {"nc": [NonAdaptivePolicy()] * len(labels), "anc": plan.own}
+    for scheme, policies in sizing.items():
+        if scheme in scenario.schemes:
+            rows += [single(label, scheme, trace, policy, label)
+                     for trace, policy, label in zip(group.receivers, policies, labels)]
 
-    for scheme in ("maxpe", "maxct"):
-        if scheme not in scenario.schemes:
-            continue
+    for scheme, virtual in plan.virtual.items():
         try:
-            result = run_multicast(config(scheme, -1), group)
+            if isinstance(virtual, InfeasibleModelError):
+                raise virtual
+            pe, shared, _ = virtual
+            result = run_multicast(config(scheme, -1), group, shared)
         except InfeasibleModelError:
             rows.extend(_na_group(labels, scheme, ebn0, "montecarlo"))
             continue
-        for label, summary in zip(result.labels, result.per_receiver):
-            rows.append(_mc_summary_row(label, scheme, ebn0, summary))
-        virtual_pe = (
-            build_maxpe(group).pe
-            if scheme == "maxpe"
-            else group.receivers[labels.index(result.reference_receiver)]
-        )
-        for vscheme in ("nc", "anc"):
-            rows.append(single(VIRTUAL_LABELS[scheme], vscheme, virtual_pe, -2))
+        rows += [_mc_summary_row(label, scheme, ebn0, summary)
+                 for label, summary in zip(result.labels, result.per_receiver)]
+        vlabel = VIRTUAL_LABELS[scheme]
+        rows.append(single(vlabel, "nc", pe, NonAdaptivePolicy(), -2))
+        rows.append(single(vlabel, "anc", pe, shared, -2))
     return rows
 
 
@@ -225,6 +257,7 @@ def run_scenario(scenario: Scenario, engine: str = "analytic",
         traces = build_traces(scenario)
     params = model_params(scenario)
     trials = scenario.trials if trials is None else trials
+    analytic = engine in ("analytic", "both")
     rows: list[dict] = []
     for ebn0 in scenario.eb_n0_db:
         etraces = [
@@ -232,10 +265,11 @@ def run_scenario(scenario: Scenario, engine: str = "analytic",
             for tr in traces
         ]
         group = MulticastGroup(etraces, labels=scenario.receiver_labels())
-        if engine in ("analytic", "both"):
-            rows.extend(_analytic_point(scenario, params, group, ebn0))
+        plan = _plan(scenario, params, group, analytic)
+        if analytic:
+            rows.extend(_analytic_point(scenario, params, plan, ebn0))
         if engine in ("montecarlo", "both"):
-            rows.extend(_mc_point(scenario, params, group, ebn0, trials, workers))
+            rows.extend(_mc_point(scenario, params, plan, ebn0, trials, workers))
     return rows
 
 

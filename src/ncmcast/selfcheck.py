@@ -124,8 +124,8 @@ def _check_small_oracle_agreement() -> str:
     for scheme in ("anc", "nc"):
         policy = AdaptivePolicy(pe) if scheme == "anc" else NonAdaptivePolicy()
         analytic = CompletionModel(pe, params, policy).expected_time()
-        config = SimConfig(trials=40_000, seed=1234, params=params, scheme=scheme)
-        summary = run_single(config, pe)
+        config = SimConfig(trials=40_000, seed=1234, params=params)
+        summary = run_single(config, pe, policy)
         z = abs(summary.delay.mean - analytic) / summary.delay.se
         if z > 3.0:
             raise AssertionError(

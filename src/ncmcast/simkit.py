@@ -3,7 +3,9 @@
 Every run is one question: a sender sizes each batch from a policy's
 table at the largest outstanding deficit in a group of receivers, and
 each receiver loses packets on its own erasure trace, with lossless
-round-trip acknowledgments.  A single receiver is a group of one.  A
+round-trip acknowledgments.  A single receiver is a group of one.  The
+caller hands in the policy (a receiver's own, the non-adaptive one, or
+one shared by the group), so the simulator names no scheme.  A
 receiver's clock stops at the end of the round that completes it.
 Decoding is either idealized (every received packet is one degree of
 freedom) or real random linear coding over a configured field, where
@@ -35,16 +37,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .completion import (
-    AdaptivePolicy,
-    InfeasibleWindowError,
-    ModelParams,
-    NonAdaptivePolicy,
-    _pe_array,
-)
+from .completion import InfeasibleWindowError, ModelParams, _pe_array
 from .gf import FieldSpec, field_for
 from .rlnc import Span
-from .virtualize import MAXCT, MAXPE, MulticastGroup, build_maxct, build_maxpe
+from .virtualize import MulticastGroup
 
 FAILURE_WARNING_RATE = 0.01
 DRAW_BLOCK = 1 << 16  # uniform draws per call in the grouped kernel
@@ -57,7 +53,6 @@ class SimConfig:
     trials: int
     seed: int
     params: ModelParams
-    scheme: str = "anc"
     decoding: str | FieldSpec = "ideal"
     start_slot: int = 0
     max_rounds: int = 10_000
@@ -137,8 +132,6 @@ class SimSummary:
 class MulticastSummary:
     """Per-receiver statistics plus sender-side totals."""
 
-    scheme: str
-    reference_receiver: int | None
     labels: list[int]
     per_receiver: list[SimSummary]
     sender_packets: StatSummary
@@ -150,14 +143,6 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
-
-
-def _policy_for(scheme: str, own_pe: np.ndarray):
-    if scheme == "nc":
-        return NonAdaptivePolicy()
-    if scheme == "anc":
-        return AdaptivePolicy(own_pe)
-    raise ValueError(f"single-receiver scheme must be nc or anc, got {scheme!r}")
 
 
 @dataclass
@@ -182,12 +167,6 @@ class _Outcome:
                    np.zeros(shape, dtype=np.int64),
                    np.full(shape, dof, dtype=np.int64),
                    np.full(shape, None, dtype=object))
-
-
-def _join(parts: list[_Outcome], axis: int) -> _Outcome:
-    """Outcomes of trial chunks (axis 0) or of receivers run apart (axis 1)."""
-    return _Outcome(*(np.concatenate(a, axis=axis)
-                      for a in zip(*(vars(p).values() for p in parts))))
 
 
 def _batch(table: np.ndarray, remaining: int, slot: int) -> int:
@@ -325,7 +304,10 @@ def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
     tasks = [(seeds[a:b],) + common
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return _join(list(pool.map(_per_trial, tasks)), axis=0)
+        parts = list(pool.map(_per_trial, tasks))
+    # the chunks' outcomes, joined in trial order
+    return _Outcome(*(np.concatenate(a)
+                      for a in zip(*(vars(p).values() for p in parts))))
 
 
 def _summarize(dof: int, out: _Outcome, rx: int) -> SimSummary:
@@ -371,56 +353,30 @@ def _report(config: SimConfig, out: _Outcome, labels: list):
     return summaries, records
 
 
-def run_single(config: SimConfig, trace) -> SimSummary:
-    """Simulate one receiver; returns aggregate trial statistics."""
+def run_single(config: SimConfig, trace, policy) -> SimSummary:
+    """Simulate one receiver whose batches `policy` sizes."""
     pe = _pe_array(trace)
-    out = _simulate(config, pe[None, :], _policy_for(config.scheme, pe),
-                    config.seed)
+    out = _simulate(config, pe[None, :], policy, config.seed)
     summaries, records = _report(config, out, [0])
     summaries[0].records = records
     return summaries[0]
 
 
-def run_multicast(config: SimConfig, group: MulticastGroup) -> MulticastSummary:
-    """Simulate a multicast session under the configured scheme.
+def run_multicast(config: SimConfig, group: MulticastGroup,
+                  policy) -> MulticastSummary:
+    """Simulate one sender serving the whole group from `policy`'s table.
 
-    Virtual-channel schemes drive one shared sender whose batches are
-    sized on the virtual trace for the largest outstanding deficit in
-    the group.  The nc/anc benchmarks run each receiver as a group of
-    one, with its own policy and seed child, and sum the sender totals
-    per trial.
+    Each batch is sized for the largest outstanding deficit in the
+    group; the sender stops with the last receiver it completes.
     """
     labels = list(group.labels)
     pes = np.vstack([_pe_array(tr) for tr in group.receivers])
-    reference = None
-    if config.scheme in ("nc", "anc"):
-        seqs = _as_seedseq(config.seed).spawn(len(labels))
-        out = _join([
-            _simulate(config, pes[rx:rx + 1],
-                      _policy_for(config.scheme, pes[rx]), seqs[rx])
-            for rx in range(len(labels))
-        ], axis=1)
-        sender_packets = out.packets.sum(axis=1)
-        sender_rounds = out.rounds.sum(axis=1)
-    else:
-        if config.scheme == MAXPE:
-            virtual = build_maxpe(group)
-        elif config.scheme == MAXCT:
-            virtual = build_maxct(group, config.params, config.start_slot)
-        else:
-            raise ValueError(f"unknown multicast scheme {config.scheme!r}")
-        reference = virtual.reference_receiver
-        out = _simulate(config, pes, AdaptivePolicy(virtual.pe), config.seed)
-        # the sender stops with the last receiver it completes
-        sender_packets = out.packets.max(axis=1)
-        sender_rounds = out.rounds.max(axis=1)
+    out = _simulate(config, pes, policy, config.seed)
     per_receiver, records = _report(config, out, labels)
     return MulticastSummary(
-        scheme=config.scheme,
-        reference_receiver=reference,
         labels=labels,
         per_receiver=per_receiver,
-        sender_packets=StatSummary.from_samples(sender_packets),
-        sender_rounds=StatSummary.from_samples(sender_rounds),
+        sender_packets=StatSummary.from_samples(out.packets.max(axis=1)),
+        sender_rounds=StatSummary.from_samples(out.rounds.max(axis=1)),
         records=records,
     )

@@ -77,18 +77,20 @@ def build_maxpe(group: MulticastGroup) -> VirtualChannel:
     return VirtualChannel(pe=pe, scheme=MAXPE, reference_receiver=None)
 
 
-def own_adaptive(group: MulticastGroup, params: ModelParams,
-                 start_slot: int = 0) -> list:
-    """Each receiver's adaptive (delay, packets) on its own trace.
+def own_adaptive(group: MulticastGroup, policies: list, params: ModelParams,
+                 start_slot: int) -> list:
+    """Each receiver's (delay, packets) on its own trace under its own
+    adaptive policy, the entry of `policies` in receiver order.
 
-    One solve per receiver, in receiver order; an infeasible receiver's
-    entry is the InfeasibleModelError its model raised.  `maxct_channel`
-    ranks these answers, and the analytic runner reads its `anc` cells
-    and the V-MaxCT `anc` cell from them.
+    One solve per receiver; an infeasible receiver's entry is the
+    InfeasibleModelError its model raised.  `maxct_channel` ranks these
+    answers, and the analytic runner reads its `anc` cells and the
+    V-MaxCT `anc` cell from them.  The solves build the policies' tables,
+    which every later cell sized by the same policies reads again.
     """
     return [
-        expected_delay_packets(trace, params, AdaptivePolicy(trace), start_slot)
-        for trace in group.receivers
+        expected_delay_packets(trace, params, policy, start_slot)
+        for trace, policy in zip(group.receivers, policies)
     ]
 
 
@@ -122,4 +124,5 @@ def maxct_channel(group: MulticastGroup, own: list) -> VirtualChannel:
 def build_maxct(group: MulticastGroup, params: ModelParams,
                 start_slot: int = 0) -> VirtualChannel:
     """Virtual channel of the receiver slowest to complete from `start_slot`."""
-    return maxct_channel(group, own_adaptive(group, params, start_slot))
+    policies = [AdaptivePolicy(trace) for trace in group.receivers]
+    return maxct_channel(group, own_adaptive(group, policies, params, start_slot))

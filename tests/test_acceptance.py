@@ -17,7 +17,6 @@ from ncmcast.completion import (
     ModelParams,
     NonAdaptivePolicy,
     anc_batch_size,
-    throughput,
 )
 from ncmcast.gf import FieldSpec
 from ncmcast.runner import build_traces, model_params
@@ -44,7 +43,7 @@ def test_criterion_1_zero_erasure_anchor():
         model = CompletionModel(pe, GEO, policy)
         delay = model.expected_time()
         assert delay * 1000 == pytest.approx(245.50, abs=0.01)
-        assert throughput(GEO.dof, delay) == pytest.approx(40.73, abs=0.01)
+        assert GEO.dof / delay == pytest.approx(40.73, abs=0.01)
     announce("zero-erasure-anchor",
              "delay 245.50 ms and throughput 40.73 pkt/s for both policies")
 
@@ -74,10 +73,9 @@ def test_criterion_2_oracle_equivalence():
                 trials=100_000,
                 seed=int(rng.integers(2**31)),
                 params=params,
-                scheme=scheme,
                 start_slot=start,
             )
-            summary = run_single(cfg, pe)
+            summary = run_single(cfg, pe, policy)
             n_total += 1
             if summary.delay.se == 0.0:
                 n_pass += abs(summary.delay.mean - analytic) <= 1e-12
@@ -259,13 +257,14 @@ def test_criterion_7_rlnc_realism():
     from idealized decoding (paired seeds, < 0.5%); a 2^4 field pays a
     measurable dependence penalty."""
     pe = np.array([0.25, 0.15, 0.35, 0.2, 0.1, 0.3, 0.18, 0.22])
-    base = dict(trials=10_000, seed=303, params=GEO, scheme="anc",
-                record_trials=True, payload_symbols=2)
-    ideal = run_single(SimConfig(**base, decoding="ideal"), pe)
-    real16 = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe)
+    base = dict(trials=10_000, seed=303, params=GEO, record_trials=True,
+                payload_symbols=2)
+    policy = AdaptivePolicy(pe)
+    ideal = run_single(SimConfig(**base, decoding="ideal"), pe, policy)
+    real16 = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe, policy)
     rel16 = abs(real16.delay.mean - ideal.delay.mean) / ideal.delay.mean
     assert rel16 < 0.005
-    real4 = run_single(SimConfig(**base, decoding=FieldSpec(4)), pe)
+    real4 = run_single(SimConfig(**base, decoding=FieldSpec(4)), pe, policy)
     diffs = np.array(
         [
             r.completion_time - i.completion_time

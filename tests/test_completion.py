@@ -15,7 +15,6 @@ from ncmcast.completion import (
     anc_batch_size,
     batch_distribution,
     batch_distribution_via_success_counts,
-    throughput,
 )
 from ncmcast.simkit import SimConfig, run_single
 
@@ -278,7 +277,7 @@ class TestDerivedMetrics:
         # cross-check against simulation
         params = ModelParams(dof=10, t_p=GEO.t_p, t_w=0.0)
         sim = run_single(
-            SimConfig(trials=60_000, seed=21, params=params, scheme="anc"), pe
+            SimConfig(trials=60_000, seed=21, params=params), pe, AdaptivePolicy(pe)
         )
         se = sim.packets.se
         assert abs(avg - sim.packets.mean) <= 3 * max(se, 1e-9)
@@ -290,13 +289,6 @@ class TestDerivedMetrics:
         model = CompletionModel(pe, GEO, AdaptivePolicy(pe))
         avg = model.average_packets()
         assert 40.0 <= avg <= 48.0
-
-    def test_throughput(self):
-        assert throughput(10, 0.3) == pytest.approx(33.333, abs=1e-3)
-        assert throughput(10, 0.2455) == pytest.approx(40.73, abs=0.01)
-        assert throughput(10, 0.6) == pytest.approx(throughput(10, 0.3) / 2)
-        with pytest.raises(ValueError):
-            throughput(10, 0.0)
 
     def test_expected_rounds_perfect_channel(self):
         pe = np.zeros(4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncmcast.gf import GF2m
-from ncmcast.rlnc import CodedPacket, DimensionError, Generation, Span, payload_symbols
+from ncmcast.rlnc import CodedPacket, DimensionError, Generation, Span
 
 
 def unit_packet(gen, k):
@@ -40,16 +40,6 @@ def ranks_of_batch(gf, mats):
         M[which] ^= gf.mul(f[:, :, None], M[which, r0][:, None, :])
         rank[which] += 1
     return rank
-
-
-def test_payload_symbols():
-    assert payload_symbols(10_000, 8) == 1250
-    assert payload_symbols(10_000, 16) == 625
-    assert payload_symbols(10_000, 4) == 2500
-    with pytest.raises(ValueError):
-        payload_symbols(10_001, 8)
-    with pytest.raises(ValueError):
-        payload_symbols(0, 8)
 
 
 def test_single_source_linearity():

@@ -7,12 +7,12 @@ import pytest
 
 from ncmcast import completion
 from ncmcast.channel import ErasureTrace
-from ncmcast.completion import ModelParams
+from ncmcast.completion import AdaptivePolicy, ModelParams, NonAdaptivePolicy
 from ncmcast.gf import FieldSpec
 from ncmcast.runner import _mc_summary_row, run_scenario, write_results_csv
 from ncmcast.scenario import load_scenario
 from ncmcast.simkit import SimConfig, run_multicast, run_single
-from ncmcast.virtualize import MulticastGroup
+from ncmcast.virtualize import MulticastGroup, build_maxpe
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -99,6 +99,27 @@ def test_analytic_point_solves_each_own_channel_once(monkeypatch):
     assert len(calls) == 41
 
 
+def test_engines_share_one_plan_per_point(monkeypatch):
+    # one plan per point: the 10 own tables and the V-MaxPe table serve
+    # both engines (the V-MaxCT sender reuses its reference's own table),
+    # and the 10 own solves that rank maxct serve the analytic cells too
+    calls = {}
+    for name in ("_expected_cost", "_sizing_table"):
+        def counted(*args, name=name, original=getattr(completion, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(completion, name, counted)
+    scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
+    expected = {"analytic": (41, 11), "montecarlo": (10, 11), "both": (41, 11)}
+    rows = {}
+    for engine, counts in expected.items():
+        calls.update(_expected_cost=0, _sizing_table=0)
+        rows[engine] = run_scenario(scenario, engine=engine)
+        assert (calls["_expected_cost"], calls["_sizing_table"]) == counts
+    assert rows["both"] == rows["analytic"] + rows["montecarlo"]
+
+
 @pytest.mark.parametrize("case", sorted(MONTECARLO_CSV_SHA256))
 def test_montecarlo_csv_is_byte_identical(case, tmp_path):
     changes, expected = MONTECARLO_CSV_SHA256[case]
@@ -111,12 +132,13 @@ def test_montecarlo_csv_is_byte_identical(case, tmp_path):
 
 def test_montecarlo_cell_with_a_trial_out_of_rounds_is_na():
     pe = np.full(5, 0.5)
-    config = SimConfig(trials=200, seed=3, scheme="nc", max_rounds=3,
+    nc = NonAdaptivePolicy()
+    config = SimConfig(trials=200, seed=3, max_rounds=3,
                        params=ModelParams(dof=4, t_p=1e-3, t_w=6e-3))
-    cut = run_single(config, pe)
+    cut = run_single(config, pe, nc)
     assert 0 < cut.n_failures < cut.n_trials
     assert _mc_summary_row("1", "nc", 7.0, cut)["delay_s"] is None
-    whole = run_single(replace(config, max_rounds=10_000), pe)
+    whole = run_single(replace(config, max_rounds=10_000), pe, nc)
     assert whole.n_failures == 0
     assert _mc_summary_row("1", "nc", 7.0, whole)["delay_s"] is not None
 
@@ -149,8 +171,9 @@ def test_small_field_trial_records_are_byte_identical():
                 params=ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388))
     group = MulticastGroup([ErasureTrace(p, eb_n0_db=7.0, bits_per_packet=100)
                             for p in (pe, np.roll(pe, 3), 0.5 * pe)])
-    records = (run_single(SimConfig(**base, scheme="anc"), pe).records
-               + run_multicast(SimConfig(**base, scheme="maxpe"), group).records)
+    shared = AdaptivePolicy(build_maxpe(group).pe)
+    records = (run_single(SimConfig(**base), pe, AdaptivePolicy(pe)).records
+               + run_multicast(SimConfig(**base), group, shared).records)
     text = "".join(f"{r.completion_time!r},{r.packets_sent},{r.rounds},"
                    f"{r.completed},{r.dof_timeline}\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FIELD_RECORDS_SHA256

@@ -11,7 +11,7 @@ from ncmcast.completion import (
 )
 from ncmcast.gf import FieldSpec
 from ncmcast.simkit import SimConfig, run_multicast, run_single
-from ncmcast.virtualize import MulticastGroup
+from ncmcast.virtualize import MulticastGroup, build_maxct, build_maxpe
 
 PARAMS = ModelParams(dof=4, t_p=1e-3, t_w=6e-3)
 
@@ -26,12 +26,16 @@ def make_group(pe_rows):
     )
 
 
+def maxpe_policy(group):
+    """The shared sender's policy, sized on the group's max-erasure trace."""
+    return AdaptivePolicy(build_maxpe(group).pe)
+
+
 class TestRunSingle:
     def test_perfect_channel_exact_delay(self):
         pe = np.zeros(6)
-        cfg = SimConfig(trials=200, seed=1, params=PARAMS, scheme="anc",
-                        record_trials=True)
-        summary = run_single(cfg, pe)
+        cfg = SimConfig(trials=200, seed=1, params=PARAMS, record_trials=True)
+        summary = run_single(cfg, pe, AdaptivePolicy(pe))
         expected = PARAMS.dof * PARAMS.t_p + PARAMS.t_w
         assert summary.n_failures == 0
         assert summary.delay.variance <= 1e-30
@@ -50,19 +54,18 @@ class TestRunSingle:
         per_trial = kernel == "per_trial"
         trials = 12_000 if per_trial else 60_000
         # kept records take the per-trial loop on ideal decoding
-        cfg = SimConfig(trials=trials, seed=2, params=PARAMS, scheme=scheme,
+        cfg = SimConfig(trials=trials, seed=2, params=PARAMS,
                         record_trials=per_trial)
-        summary = run_single(cfg, pe)
+        summary = run_single(cfg, pe, policy)
         assert summary.n_failures == 0
         z = abs(summary.delay.mean - analytic) / summary.delay.se
         assert z <= 3.5
 
     def test_reproducible_records(self):
         pe = np.array([0.3, 0.1, 0.4])
-        cfg = dict(trials=500, seed=7, params=PARAMS, scheme="anc",
-                   record_trials=True)
-        a = run_single(SimConfig(**cfg), pe)
-        b = run_single(SimConfig(**cfg), pe)
+        cfg = dict(trials=500, seed=7, params=PARAMS, record_trials=True)
+        a = run_single(SimConfig(**cfg), pe, AdaptivePolicy(pe))
+        b = run_single(SimConfig(**cfg), pe, AdaptivePolicy(pe))
         assert [r.completion_time for r in a.records] == [
             r.completion_time for r in b.records
         ]
@@ -72,18 +75,18 @@ class TestRunSingle:
 
     def test_grouped_reproducible(self):
         pe = np.array([0.3, 0.1, 0.4])
-        cfg = dict(trials=5000, seed=8, params=PARAMS, scheme="anc")
-        a = run_single(SimConfig(**cfg), pe)
-        b = run_single(SimConfig(**cfg), pe)
+        cfg = dict(trials=5000, seed=8, params=PARAMS)
+        a = run_single(SimConfig(**cfg), pe, AdaptivePolicy(pe))
+        b = run_single(SimConfig(**cfg), pe, AdaptivePolicy(pe))
         assert a.delay.mean == b.delay.mean
         assert a.packets.mean == b.packets.mean
 
     def test_workers_do_not_change_results(self):
         pe = np.array([0.25, 0.15, 0.35, 0.1])
-        base = dict(trials=400, seed=9, params=PARAMS, scheme="anc",
-                    record_trials=True)
-        serial = run_single(SimConfig(**base, workers=1), pe)
-        parallel = run_single(SimConfig(**base, workers=3), pe)
+        base = dict(trials=400, seed=9, params=PARAMS, record_trials=True)
+        policy = AdaptivePolicy(pe)
+        serial = run_single(SimConfig(**base, workers=1), pe, policy)
+        parallel = run_single(SimConfig(**base, workers=3), pe, policy)
         assert [r.completion_time for r in serial.records] == [
             r.completion_time for r in parallel.records
         ]
@@ -93,21 +96,20 @@ class TestRunSingle:
 
     def test_grouped_and_per_trial_statistically_equal(self):
         pe = np.array([0.2, 0.4, 0.1])
-        a = run_single(
-            SimConfig(trials=40_000, seed=10, params=PARAMS, scheme="anc"), pe
-        )
+        policy = AdaptivePolicy(pe)
+        a = run_single(SimConfig(trials=40_000, seed=10, params=PARAMS), pe,
+                       policy)
         b = run_single(
-            SimConfig(trials=40_000, seed=11, params=PARAMS, scheme="anc",
-                      record_trials=True), pe
+            SimConfig(trials=40_000, seed=11, params=PARAMS, record_trials=True),
+            pe, policy,
         )
         z = abs(a.delay.mean - b.delay.mean) / np.hypot(a.delay.se, b.delay.se)
         assert z <= 3.5
 
     def test_failure_cap_counted_and_warned(self):
         pe = np.ones(3)  # nothing ever arrives
-        cfg = SimConfig(trials=50, seed=12, params=PARAMS, scheme="nc",
-                        max_rounds=20)
-        summary = run_single(cfg, pe)
+        cfg = SimConfig(trials=50, seed=12, params=PARAMS, max_rounds=20)
+        summary = run_single(cfg, pe, NonAdaptivePolicy())
         assert summary.n_failures == 50
         assert summary.failure_rate == 1.0
         assert summary.status == "warning"
@@ -115,9 +117,8 @@ class TestRunSingle:
 
     def test_packets_match_planned_batches(self):
         pe = np.array([0.5, 0.2])
-        cfg = SimConfig(trials=200, seed=13, params=PARAMS, scheme="anc",
-                        record_trials=True)
-        summary = run_single(cfg, pe)
+        cfg = SimConfig(trials=200, seed=13, params=PARAMS, record_trials=True)
+        summary = run_single(cfg, pe, AdaptivePolicy(pe))
         table = AdaptivePolicy(pe).table(PARAMS.dof, pe.size)
         for rec in summary.records:
             # replay the planned batch sizes along the recorded dof timeline
@@ -133,10 +134,10 @@ class TestRunSingle:
 class TestRlncDecoding:
     def test_large_field_matches_ideal_paired(self):
         pe = np.array([0.3, 0.15, 0.25])
-        base = dict(trials=1500, seed=14, params=PARAMS,
-                    scheme="anc", record_trials=True)
-        ideal = run_single(SimConfig(**base, decoding="ideal"), pe)
-        real = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe)
+        base = dict(trials=1500, seed=14, params=PARAMS, record_trials=True)
+        policy = AdaptivePolicy(pe)
+        ideal = run_single(SimConfig(**base, decoding="ideal"), pe, policy)
+        real = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe, policy)
         diffs = [
             r.completion_time - i.completion_time
             for r, i in zip(real.records, ideal.records)
@@ -147,10 +148,10 @@ class TestRlncDecoding:
 
     def test_small_field_measurably_slower(self):
         pe = np.array([0.3, 0.15, 0.25])
-        base = dict(trials=4000, seed=15, params=PARAMS,
-                    scheme="anc", record_trials=True)
-        ideal = run_single(SimConfig(**base, decoding="ideal"), pe)
-        real = run_single(SimConfig(**base, decoding=FieldSpec(4)), pe)
+        base = dict(trials=4000, seed=15, params=PARAMS, record_trials=True)
+        policy = AdaptivePolicy(pe)
+        ideal = run_single(SimConfig(**base, decoding="ideal"), pe, policy)
+        real = run_single(SimConfig(**base, decoding=FieldSpec(4)), pe, policy)
         diffs = np.asarray(
             [
                 r.completion_time - i.completion_time
@@ -169,8 +170,8 @@ class TestRlncDecoding:
 class TestMulticast:
     def test_all_perfect_one_round_equal_delays(self):
         group = make_group([np.zeros(5)] * 3)
-        cfg = SimConfig(trials=100, seed=16, params=PARAMS, scheme="maxpe")
-        result = run_multicast(cfg, group)
+        cfg = SimConfig(trials=100, seed=16, params=PARAMS)
+        result = run_multicast(cfg, group, maxpe_policy(group))
         expected = PARAMS.dof * PARAMS.t_p + PARAMS.t_w
         for summary in result.per_receiver:
             assert summary.delay.mean == pytest.approx(expected, abs=1e-15)
@@ -182,8 +183,8 @@ class TestMulticast:
         # round one, same round count as its own point-to-point run; delay
         # accrues in round quanta, so it pays the virtual batch length
         group = make_group([np.zeros(4), np.full(4, 0.5)])
-        cfg = SimConfig(trials=400, seed=17, params=PARAMS, scheme="maxpe")
-        result = run_multicast(cfg, group)
+        cfg = SimConfig(trials=400, seed=17, params=PARAMS)
+        result = run_multicast(cfg, group, maxpe_policy(group))
         assert result.per_receiver[0].rounds.mean == 1.0
         expected_round1 = (
             AdaptivePolicy(np.full(4, 0.5)).table(PARAMS.dof, 4)[-1, 0]
@@ -198,42 +199,33 @@ class TestMulticast:
         rows = [rng.random(8) * 0.25 for _ in range(3)]
         rows.append(np.minimum(np.maximum.reduce(rows) + 0.35, 0.9))
         group = make_group(rows)
-        cfg = SimConfig(trials=30_000, seed=19, params=PARAMS, scheme="maxct")
-        result = run_multicast(cfg, group)
-        assert result.reference_receiver == 4
+        virtual = build_maxct(group, PARAMS)
+        assert virtual.reference_receiver == 4
+        cfg = SimConfig(trials=30_000, seed=19, params=PARAMS)
+        result = run_multicast(cfg, group, AdaptivePolicy(virtual.pe))
         ref = result.per_receiver[3]
         own = run_single(
-            SimConfig(trials=30_000, seed=20, params=PARAMS, scheme="anc"),
-            group.receivers[3],
+            SimConfig(trials=30_000, seed=20, params=PARAMS),
+            group.receivers[3], AdaptivePolicy(group.receivers[3]),
         )
         z = abs(ref.delay.mean - own.delay.mean) / np.hypot(ref.delay.se,
                                                             own.delay.se)
         assert z <= 3.5
 
-    def test_benchmark_schemes_run_independent_sessions(self):
-        group = make_group([[0.0, 0.0], [0.5, 0.5]])
-        cfg = SimConfig(trials=2000, seed=21, params=PARAMS, scheme="anc")
-        result = run_multicast(cfg, group)
-        assert result.per_receiver[0].delay.variance <= 1e-30
-        assert result.per_receiver[1].delay.mean > result.per_receiver[0].delay.mean
-        total = result.per_receiver[0].packets.mean + result.per_receiver[1].packets.mean
-        assert result.sender_packets.mean == pytest.approx(total, rel=1e-12)
-
     def test_reproducible(self):
         group = make_group([[0.2, 0.3], [0.4, 0.1]])
-        cfg = dict(trials=300, seed=22, params=PARAMS, scheme="maxpe",
-                   record_trials=True)
-        a = run_multicast(SimConfig(**cfg), group)
-        b = run_multicast(SimConfig(**cfg), group)
+        cfg = dict(trials=300, seed=22, params=PARAMS, record_trials=True)
+        a = run_multicast(SimConfig(**cfg), group, maxpe_policy(group))
+        b = run_multicast(SimConfig(**cfg), group, maxpe_policy(group))
         assert [r.completion_time for r in a.records] == [
             r.completion_time for r in b.records
         ]
 
     def test_rank_never_exceeds_block(self):
         group = make_group([[0.3, 0.2], [0.1, 0.4]])
-        cfg = SimConfig(trials=200, seed=23, params=PARAMS, scheme="maxpe",
+        cfg = SimConfig(trials=200, seed=23, params=PARAMS,
                         decoding=FieldSpec(8), record_trials=True)
-        result = run_multicast(cfg, group)
+        result = run_multicast(cfg, group, maxpe_policy(group))
         for rec in result.records:
             assert rec.completed
             assert rec.packets_sent >= PARAMS.dof
@@ -244,9 +236,9 @@ class TestMulticast:
         pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
         base = dict(trials=300, seed=27, params=PARAMS, decoding=decoding,
                     record_trials=True)
-        multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
-                                  make_group([pe]))
-        single = run_single(SimConfig(**base, scheme="anc"), pe)
+        group = make_group([pe])
+        multicast = run_multicast(SimConfig(**base), group, maxpe_policy(group))
+        single = run_single(SimConfig(**base), pe, AdaptivePolicy(pe))
 
         def outcomes(records):
             return [(r.trial, r.completion_time, r.packets_sent, r.rounds,
@@ -258,9 +250,9 @@ class TestMulticast:
     def test_grouped_group_of_one_is_a_single_receiver(self):
         pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
         base = dict(trials=3000, seed=28, params=PARAMS)
-        multicast = run_multicast(SimConfig(**base, scheme="maxpe"),
-                                  make_group([pe]))
-        single = run_single(SimConfig(**base, scheme="anc"), pe)
+        group = make_group([pe])
+        multicast = run_multicast(SimConfig(**base), group, maxpe_policy(group))
+        single = run_single(SimConfig(**base), pe, AdaptivePolicy(pe))
         (own,) = multicast.per_receiver
         assert own.delay.mean == single.delay.mean
         assert own.packets.mean == single.packets.mean
@@ -269,10 +261,12 @@ class TestMulticast:
     def test_grouped_and_per_trial_multicast_agree(self):
         group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
                             [0.2, 0.2, 0.6, 0.1]])
-        base = dict(params=PARAMS, scheme="maxpe")
-        grouped = run_multicast(SimConfig(trials=30_000, seed=29, **base), group)
+        policy = maxpe_policy(group)
+        grouped = run_multicast(SimConfig(trials=30_000, seed=29, params=PARAMS),
+                                group, policy)
         per_trial = run_multicast(
-            SimConfig(trials=6000, seed=30, record_trials=True, **base), group
+            SimConfig(trials=6000, seed=30, params=PARAMS, record_trials=True),
+            group, policy,
         )
         pairs = [(g.delay, p.delay) for g, p in zip(grouped.per_receiver,
                                                     per_trial.per_receiver)]
@@ -282,10 +276,11 @@ class TestMulticast:
 
     def test_workers_do_not_change_rlnc_records(self):
         group = make_group([[0.25, 0.15, 0.35], [0.1, 0.4, 0.2]])
-        base = dict(trials=60, seed=31, params=PARAMS, scheme="maxpe",
+        base = dict(trials=60, seed=31, params=PARAMS,
                     decoding=FieldSpec(8), record_trials=True)
-        serial = run_multicast(SimConfig(**base, workers=1), group)
-        parallel = run_multicast(SimConfig(**base, workers=3), group)
+        policy = maxpe_policy(group)
+        serial = run_multicast(SimConfig(**base, workers=1), group, policy)
+        parallel = run_multicast(SimConfig(**base, workers=3), group, policy)
         assert serial.records == parallel.records
 
     @pytest.mark.parametrize(
@@ -297,10 +292,10 @@ class TestMulticast:
         # 0.05 packets per 8 slots: no batch within the cap covers a deficit,
         # and every trial starts in the state (slot 0, deficit 4)
         group = make_group([np.r_[0.95, np.ones(7)], np.zeros(8)])
-        cfg = SimConfig(trials=8, seed=32, params=PARAMS, scheme="maxpe",
+        cfg = SimConfig(trials=8, seed=32, params=PARAMS,
                         decoding=decoding, workers=workers)
         with pytest.raises(InfeasibleWindowError) as err:
-            run_multicast(cfg, group)
+            run_multicast(cfg, group, maxpe_policy(group))
         assert (err.value.start_slot, err.value.remaining) == (0, 4)
 
 
@@ -319,9 +314,13 @@ class TestDelayBands:
             membership.append(k % 3)
         group = make_group(rows)
         params = ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388)
-        cfg = SimConfig(trials=3000, seed=26, params=params, scheme="anc")
-        result = run_multicast(cfg, group)
-        means = np.array([1000 * s.delay.mean for s in result.per_receiver])
+        # each receiver on its own policy, as its own session
+        seeds = np.random.SeedSequence(26).spawn(9)
+        means = np.array([
+            1000 * run_single(SimConfig(trials=3000, seed=seeds[k], params=params),
+                              trace, AdaptivePolicy(trace)).delay.mean
+            for k, trace in enumerate(group.receivers)
+        ])
         grouped = {
             b: means[[k for k in range(9) if membership[k] == b]]
             for b in range(3)
