@@ -5,6 +5,13 @@ sight, moderate shadowing, deep shadowing): a first-order Markov chain
 over the states at packet-slot granularity, plus AR(1) log-normal
 shadowing around the state mean.  Gains map to bit error probability
 (BPSK/QPSK over AWGN) and then to whole-packet erasure probability.
+
+The bit error rate needs erfc, which is a port of the Cephes `erfc`
+(S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989,
+`ndtr.c`): the routine SciPy runs for real doubles, with its branches and
+coefficients.  Its exp is libm's (`math.exp`, element by element), as in
+the C code; NumPy's vectorized `np.exp` may round differently by an ulp,
+and so would move the erasure traces' bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 DEFAULT_SLOT_SECONDS = 0.67e-3
 
@@ -184,6 +190,64 @@ def generate_trace(params: LmsParams, initial_state: str, length: int, seed,
     return ChannelTrace(gains, slot_duration=slot_duration, receiver_id=receiver_id)
 
 
+# Cephes ndtr.c: erf on |x| < 1 is x T(x^2) / U(x^2); erfc is
+# exp(-x^2) P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) above, and
+# underflows to 0 once x^2 exceeds _MAXLOG.  Highest degree first; the
+# leading 1 of Q, S and U is implicit in Cephes (p1evl), and 1 * x is
+# exact, so Horner's first step gives the same bits.
+_MAXLOG = 7.09782712893383996843e2
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+      2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+      4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x, coef):
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erfc(a):
+    """Complementary error function, elementwise, bit for bit Cephes."""
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    x = np.abs(flat)
+    out = np.full(flat.shape, np.nan)
+    small = x < 1.0
+    s = flat[small]
+    z = s * s
+    out[small] = 1.0 - s * _horner(z, _T) / _horner(z, _U)
+    under = flat * flat > _MAXLOG
+    out[under] = np.where(flat[under] < 0.0, 2.0, 0.0)
+    for sel, num, den in (((x >= 1.0) & (x < 8.0), _P, _Q),
+                          (x >= 8.0, _R, _S)):
+        sel &= ~under
+        b = flat[sel]
+        e = np.fromiter(map(math.exp, (-b * b).tolist()), float, b.size)
+        y = e * _horner(x[sel], num) / _horner(x[sel], den)
+        out[sel] = np.where(b < 0.0, 2.0 - y, y)
+    return out.reshape(a.shape)[()]
+
+
 def bit_error_prob(gain_db, eb_n0_db, modulation: str = "bpsk"):
     """Per-bit error probability at the given gain and Eb/N0.
 
@@ -196,7 +260,7 @@ def bit_error_prob(gain_db, eb_n0_db, modulation: str = "bpsk"):
     eb_n0_db = np.asarray(eb_n0_db, dtype=float)
     snr = 10.0 ** ((gain_db + eb_n0_db) / 10.0)
     # Q(sqrt(2x)) = erfc(sqrt(x)) / 2
-    out = 0.5 * erfc(np.sqrt(snr))
+    out = 0.5 * _erfc(np.sqrt(snr))
     return float(out) if out.ndim == 0 else out
 
 

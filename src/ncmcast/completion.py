@@ -219,12 +219,18 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     block = max(1, (1 << 18) // (8 * window))
     need = np.arange(1, dof + 1)[:, None]
     table = np.empty((dof, tau), dtype=np.int64)
+    # two block buffers per table, reused: a new array this large per
+    # block is often a new memory mapping, page-faulted in again
+    sums = np.empty((min(block, tau), window))
+    floors = np.empty(sums.shape, dtype=np.int64)
     for lo in range(0, tau, block):
-        sums = windows[lo:lo + block].cumsum(axis=1)
-        rows = np.arange(len(sums))
-        floors = sums.astype(np.int64) + (window + 1) * rows[:, None]
-        pos = floors.ravel().searchsorted((window + 1) * rows + need) - window * rows
-        table[:, lo:lo + len(sums)] = np.where(pos < 64 * need, pos + 1, 0)
+        n = min(block, tau - lo)
+        np.cumsum(windows[lo:lo + n], axis=1, out=sums[:n])
+        rows = np.arange(n)
+        np.copyto(floors[:n], sums[:n], casting="unsafe")
+        floors[:n] += (window + 1) * rows[:, None]
+        pos = floors[:n].ravel().searchsorted((window + 1) * rows + need) - window * rows
+        table[:, lo:lo + n] = np.where(pos < 64 * need, pos + 1, 0)
     return table
 
 

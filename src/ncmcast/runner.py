@@ -108,13 +108,15 @@ def _analytic_row(label, scheme, ebn0, answer, dof: int) -> dict:
 class _Plan:
     """How each cell of one Eb/N0 point sizes its batches, for every engine.
 
-    `own` holds each receiver's own adaptive policy, and `answers` their
-    analytic (delay, packets) when a cell needs them: the analytic `anc`
-    cells and the maxct ranking.  `virtual` maps each requested virtual
-    scheme to (reference trace, shared policy, reference label), or to
-    the InfeasibleModelError that leaves the scheme undefined.  The
-    V-MaxCT trace is the reference receiver's own, so its shared policy
-    is that receiver's own policy: one table.
+    `own` holds each receiver's own adaptive policy for the Monte Carlo
+    `anc` cells, and is empty when that engine does not run, so their
+    tables go once solved.  `answers` holds the receivers' analytic
+    (delay, packets) when a cell needs them: the analytic `anc` cells and
+    the maxct ranking.  `virtual` maps each requested virtual scheme to
+    (reference trace, shared policy, reference label), or to the
+    InfeasibleModelError that leaves the scheme undefined.  The V-MaxCT
+    trace is the reference receiver's own, so its shared policy is that
+    receiver's own policy: one table.
     """
 
     group: MulticastGroup
@@ -124,7 +126,7 @@ class _Plan:
 
 
 def _plan(scenario: Scenario, params: ModelParams, group: MulticastGroup,
-          analytic: bool) -> _Plan:
+          analytic: bool, montecarlo: bool) -> _Plan:
     schemes = scenario.schemes
     own = [AdaptivePolicy(trace) for trace in group.receivers]
     answers = (
@@ -143,7 +145,7 @@ def _plan(scenario: Scenario, params: ModelParams, group: MulticastGroup,
         else:
             ref = ct.reference_receiver
             virtual["maxct"] = (ct.pe, own[group.labels.index(ref)], ref)
-    return _Plan(group, own, answers, virtual)
+    return _Plan(group, own if montecarlo else [], answers, virtual)
 
 
 def _analytic_point(scenario: Scenario, params: ModelParams, plan: _Plan,
@@ -258,6 +260,7 @@ def run_scenario(scenario: Scenario, engine: str = "analytic",
     params = model_params(scenario)
     trials = scenario.trials if trials is None else trials
     analytic = engine in ("analytic", "both")
+    montecarlo = engine in ("montecarlo", "both")
     rows: list[dict] = []
     for ebn0 in scenario.eb_n0_db:
         etraces = [
@@ -265,10 +268,10 @@ def run_scenario(scenario: Scenario, engine: str = "analytic",
             for tr in traces
         ]
         group = MulticastGroup(etraces, labels=scenario.receiver_labels())
-        plan = _plan(scenario, params, group, analytic)
+        plan = _plan(scenario, params, group, analytic, montecarlo)
         if analytic:
             rows.extend(_analytic_point(scenario, params, plan, ebn0))
-        if engine in ("montecarlo", "both"):
+        if montecarlo:
             rows.extend(_mc_point(scenario, params, plan, ebn0, trials, workers))
     return rows
 

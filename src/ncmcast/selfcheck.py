@@ -6,6 +6,7 @@ Expected constants were computed with 40-digit arithmetic and frozen.
 
 from __future__ import annotations
 
+import math
 import traceback
 from dataclasses import dataclass
 
@@ -82,11 +83,22 @@ def _check_erasure_formula() -> str:
             raise AssertionError(
                 f"erasure_prob({p_b}, {bits}) = {got!r}, expected {expected!r}"
             )
+    # every branch of the erfc port, down to where it nears underflow
+    x = np.linspace(0.0, 26.0, 5201)
+    got = channel._erfc(x)
+    expected = np.array([math.erfc(v) for v in x])
+    rel = np.abs(got - expected) / expected
+    if rel.max() > 1e-13:
+        k = int(rel.argmax())
+        raise AssertionError(
+            f"erfc({x[k]!r}) = {got[k]!r}, math.erfc gives {expected[k]!r}"
+        )
     gain, ebn0, expected = _BIT_ERROR_PROBE
     got = channel.bit_error_prob(gain, ebn0)
     if abs(got - expected) > 1e-11 * expected:
         raise AssertionError(f"bit_error_prob probe: {got!r} != {expected!r}")
-    return "packet-loss and bit-error probes match frozen high-precision values"
+    return ("packet-loss and bit-error probes match frozen high-precision "
+            "values; erfc matches math.erfc on [0, 26]")
 
 
 def _check_batch_minimality() -> str:

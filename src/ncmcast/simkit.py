@@ -32,7 +32,6 @@ a window the table marks uncovered.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -300,6 +299,8 @@ def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
               config.max_rounds, config.start_slot, config.record_trials)
     if config.workers == 1:
         return _per_trial((seeds,) + common)
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
     bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
     tasks = [(seeds[a:b],) + common
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ncmcast
 from ncmcast.channel import (
+    _erfc,
     ChannelTrace,
     ErasureTrace,
     LmsParams,
@@ -126,6 +133,54 @@ class TestBitErrorProb:
         out = bit_error_prob(gains, 5.0)
         assert out.shape == (3,)
         assert np.all(np.diff(out) < 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestErfc:
+    """The Cephes port against SciPy's erfc, which runs the same C code:
+    equal bits, not just close values."""
+
+    EDGES = [0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, np.nextafter(8.0, 0.0),
+             8.0, *np.linspace(26.5, 27.3, 801), np.inf, np.nan]
+
+    @staticmethod
+    def reference():
+        return pytest.importorskip("scipy.special").erfc
+
+    def test_edges_and_dense_grid(self):
+        # NumPy's vectorized exp can round thousands of this grid's
+        # exponents differently from libm's (it does on AVX-512 hosts)
+        x = np.concatenate((self.EDGES, np.linspace(-40.0, 40.0, 80_001)))
+        np.testing.assert_array_equal(_erfc(x), self.reference()(x))
+
+    def test_scalar_and_zero_dim_inputs(self):
+        erfc = self.reference()
+        for v in self.EDGES[:6] + self.EDGES[-2:]:
+            for arg in (v, np.array(v)):
+                got = _erfc(arg)
+                assert np.ndim(got) == 0
+                np.testing.assert_array_equal(got, erfc(arg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=64))
+    def test_random_inputs(self, xs):
+        x = np.array(xs)
+        np.testing.assert_array_equal(_erfc(x), self.reference()(x))
+
+
+def test_fresh_import_loads_no_scipy_or_process_pool():
+    code = (
+        "import sys\n"
+        "import ncmcast\n"
+        "from ncmcast import report, runner, scenario\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'concurrent.futures.process'))\n"
+    )
+    src = str(Path(ncmcast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestErasureProb:

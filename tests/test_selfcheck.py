@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 import ncmcast.channel as channel_mod
 from ncmcast.gf import GF2m
 from ncmcast.selfcheck import run_selfcheck
@@ -38,6 +40,18 @@ def test_corrupted_bit_error_formula_caught(monkeypatch):
     monkeypatch.setattr(channel_mod, "bit_error_prob", scaled)
     results = {r.name: r for r in run_selfcheck()}
     assert not results["erasure-formula"].passed
+
+
+@pytest.mark.parametrize("name", ["_T", "_U", "_P", "_Q", "_R", "_S"])
+def test_corrupted_erfc_coefficient_caught(monkeypatch, name):
+    """Mutation probe: a coefficient off in its eighth digit, in any of the
+    erfc port's six polynomials, must trip the erfc grid."""
+    coef = list(getattr(channel_mod, name))
+    coef[2] *= 1.0 + 1e-8
+    monkeypatch.setattr(channel_mod, name, tuple(coef))
+    results = {r.name: r for r in run_selfcheck()}
+    assert not results["erasure-formula"].passed
+    assert "math.erfc" in results["erasure-formula"].detail
 
 
 def test_corrupted_zero_log_caught(monkeypatch):
