@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,13 @@ def cmd_selfcheck() -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncmcast",
@@ -130,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--engine", default="analytic",
                    choices=("analytic", "montecarlo", "both"))
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_positive_int, default=None,
                    help="Monte Carlo trials per cell (default: scenario value)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="results CSV path")
 
     p = sub.add_parser("report", help="emit tables and figure series")
@@ -152,14 +160,14 @@ def main(argv=None) -> int:
         return cmd_selfcheck()
     try:
         scenario = load_scenario(args.scenario)
+        if getattr(args, "seed", None) is not None:
+            scenario = replace(scenario, seed=args.seed)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "gen-traces":
         return cmd_gen_traces(scenario, args.out)
     if args.command == "run":
-        if args.seed is not None:
-            scenario.seed = args.seed
         try:
             return cmd_run(scenario, args.engine, args.out, args.trials,
                            args.workers)

@@ -1,19 +1,21 @@
 """Sweep orchestration: evaluate every (receiver, scheme, Eb/N0) cell.
 
 Produces flat result rows for the analytic engine, the Monte Carlo
-engine, or both.  At each Eb/N0 point one plan (`_Plan`) decides how
-every cell sizes its batches, and both engines read it, so each table
-and each own-channel solve is made once.  The per-receiver maxpe/maxct
-Monte Carlo cells still simulate the whole group behind one shared
-sender.  Cells whose model is infeasible (a trace too erased to cover
-the block within the batch cap) are flagged with NA values and the
-sweep continues.  So are Monte Carlo cells where any trial ran out of
-rounds, since a mean over the trials that completed is biased low.
+engine, or both.  At each Eb/N0 point every cell asks one question: a
+trace and the policy that sizes its batches.  Each engine answers each
+distinct question once and writes one row per cell, so the V-MaxCT
+cells, which ask their reference receiver's own questions, are that
+receiver's rows in both engines.  A receiver's cell under a virtual
+scheme is the one question the engines answer differently: the analytic
+engine solves the receiver alone under the shared policy, Monte Carlo
+reads its row of one shared-sender run of the whole group.  Cells whose
+model is infeasible (a trace too erased to cover the block within the
+batch cap) are flagged with NA values and the sweep continues.  So are
+Monte Carlo cells where any trial ran out of rounds, since a mean over
+the trials that completed is biased low.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .completion import (
 )
 from .scenario import SCHEMES, Scenario
 from .simkit import SimConfig, run_multicast, run_single
-from .virtualize import MulticastGroup, build_maxpe, maxct_channel, own_adaptive
+from .virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 RESULT_FIELDS = (
     "receiver",
@@ -88,104 +90,110 @@ def _row(receiver, scheme, ebn0, engine, delay=None, thr=None, packets=None,
     }
 
 
-def _na_group(labels, scheme, ebn0, engine) -> list[dict]:
-    """NA rows for every cell of a virtual scheme whose group step failed."""
-    return [_row(label, scheme, ebn0, engine) for label in labels] + [
-        _row(VIRTUAL_LABELS[scheme], vscheme, ebn0, engine)
-        for vscheme in ("nc", "anc")
-    ]
+class _Point:
+    """One Eb/N0 point: every cell as (label, scheme, question), in row order.
 
-
-def _analytic_row(label, scheme, ebn0, answer, dof: int) -> dict:
-    """Row of one cell from its (delay, packets), NA for an infeasible model."""
-    if isinstance(answer, InfeasibleModelError):
-        return _row(label, scheme, ebn0, "analytic")
-    delay, packets = answer
-    return _row(label, scheme, ebn0, "analytic", delay, dof / delay, packets, 0.0)
-
-
-@dataclass
-class _Plan:
-    """How each cell of one Eb/N0 point sizes its batches, for every engine.
-
-    `own` holds each receiver's own adaptive policy for the Monte Carlo
-    `anc` cells, and is empty when that engine does not run, so their
-    tables go once solved.  `answers` holds the receivers' analytic
-    (delay, packets) when a cell needs them: the analytic `anc` cells and
-    the maxct ranking.  `virtual` maps each requested virtual scheme to
-    (reference trace, shared policy, reference label), or to the
-    InfeasibleModelError that leaves the scheme undefined.  The V-MaxCT
-    trace is the reference receiver's own, so its shared policy is that
-    receiver's own policy: one table.
+    A question is (trace key, policy key).  The trace key is a receiver
+    index or "maxpe"; the policy key is "nc", a receiver index (that
+    receiver's own adaptive policy) or "maxpe".  A receiver's cell under
+    a virtual scheme asks ("group", scheme, k), whose sender sizes from
+    policy key `shared[scheme]`.  `solved` holds the analytic answers
+    found while planning: the own solves that rank maxct.
     """
 
-    group: MulticastGroup
-    own: list[AdaptivePolicy]
-    answers: list
-    virtual: dict
+    def __init__(self, scenario: Scenario, params: ModelParams,
+                 group: MulticastGroup, ebn0: float, analytic: bool,
+                 montecarlo: bool):
+        schemes = scenario.schemes
+        self.ebn0, self.group = ebn0, group
+        self.traces = dict(enumerate(group.receivers))
+        own = {k: AdaptivePolicy(trace) for k, trace in self.traces.items()}
+        self.policies = {"nc": NonAdaptivePolicy()}
+        self.shared, self.solved = {}, {}
+        if "maxct" in schemes or (analytic and "anc" in schemes):
+            self.solved = {(k, k): expected_delay_packets(
+                self.traces[k], params, own[k], scenario.start_slot) for k in own}
+        if "maxpe" in schemes:
+            self.traces["maxpe"] = build_maxpe(group).pe
+            self.policies["maxpe"] = AdaptivePolicy(self.traces["maxpe"])
+            self.shared["maxpe"] = "maxpe"
+        ref = None
+        if "maxct" in schemes:
+            try:
+                ref = self.shared["maxct"] = maxct_reference(
+                    group.labels, [self.solved[k, k] for k in own])
+            except InfeasibleModelError as exc:
+                ref = exc.with_traceback(None)
+        if montecarlo:
+            self.policies.update(own)
+        elif "maxct" in self.shared:
+            # the analytic cells read the own answers from `solved`, so
+            # only the V-MaxCT sender's own table is read again
+            self.policies[ref] = own[ref]
+        self.cells = _cells(schemes, group.labels, ref)
+
+    def rows(self, engine: str, answer, row) -> list[dict]:
+        """One row per cell: `row` of its answer, NA for an infeasible one."""
+        rows = []
+        for label, scheme, question in self.cells:
+            got = (question if isinstance(question, InfeasibleModelError)
+                   else answer(question))
+            rows.append(_row(label, scheme, self.ebn0, engine)
+                        if isinstance(got, InfeasibleModelError)
+                        else row(label, scheme, self.ebn0, got))
+        return rows
 
 
-def _plan(scenario: Scenario, params: ModelParams, group: MulticastGroup,
-          analytic: bool, montecarlo: bool) -> _Plan:
-    schemes = scenario.schemes
-    own = [AdaptivePolicy(trace) for trace in group.receivers]
-    answers = (
-        own_adaptive(group, own, params, scenario.start_slot)
-        if "maxct" in schemes or (analytic and "anc" in schemes) else []
-    )
-    virtual = {}
-    if "maxpe" in schemes:
-        pe = build_maxpe(group).pe
-        virtual["maxpe"] = (pe, AdaptivePolicy(pe), None)
-    if "maxct" in schemes:
-        try:
-            ct = maxct_channel(group, answers)
-        except InfeasibleModelError as exc:
-            virtual["maxct"] = exc.with_traceback(None)
-        else:
-            ref = ct.reference_receiver
-            virtual["maxct"] = (ct.pe, own[group.labels.index(ref)], ref)
-    return _Plan(group, own if montecarlo else [], answers, virtual)
+def _cells(schemes, labels, ref) -> list[tuple]:
+    """A point's cells; `ref` is the V-MaxCT reference receiver's index,
+    or the InfeasibleModelError that every cell of maxct then asks."""
+    own = list(enumerate(labels))
+    cells = []
+    if "nc" in schemes:
+        cells += [(label, "nc", (k, "nc")) for k, label in own]
+    if "anc" in schemes:
+        cells += [(label, "anc", (k, k)) for k, label in own]
+    for scheme, key in (("maxpe", "maxpe"), ("maxct", ref)):
+        if scheme in schemes:
+            vlabel = VIRTUAL_LABELS[scheme]
+            asked = [(label, scheme, ("group", scheme, k)) for k, label in own]
+            asked += [(vlabel, "nc", (key, "nc")), (vlabel, "anc", (key, key))]
+            undefined = isinstance(key, InfeasibleModelError)
+            cells += [(label, s, key if undefined else q) for label, s, q in asked]
+    return cells
 
 
-def _analytic_point(scenario: Scenario, params: ModelParams, plan: _Plan,
-                    ebn0: float) -> list[dict]:
-    rows = []
-    j0 = scenario.start_slot
-    receivers = plan.group.receivers
-    labels = plan.group.labels
+def _memo(solve, answers: dict):
+    """`solve` answering each question once; `answers` holds those found."""
+    def answer(question):
+        if question not in answers:
+            answers[question] = solve(question)
+        return answers[question]
 
-    def cell(label, scheme, answer) -> dict:
-        return _analytic_row(label, scheme, ebn0, answer, params.dof)
+    return answer
 
-    def solved(label, scheme, pe_trace, policy) -> dict:
-        return cell(label, scheme,
-                    expected_delay_packets(pe_trace, params, policy, j0))
 
-    nc = [expected_delay_packets(trace, params, NonAdaptivePolicy(), j0)
-          for trace in receivers] if "nc" in scenario.schemes else []
-    rows += [cell(label, "nc", answer) for answer, label in zip(nc, labels)]
-    if "anc" in scenario.schemes:
-        rows += [cell(label, "anc", answer)
-                 for answer, label in zip(plan.answers, labels)]
+def _analytic_point(scenario: Scenario, params: ModelParams,
+                    point: _Point) -> list[dict]:
+    def solve(question):
+        trace, policy = question
+        return expected_delay_packets(point.traces[trace], params,
+                                      point.policies[policy], scenario.start_slot)
 
-    for scheme, virtual in plan.virtual.items():
-        if isinstance(virtual, InfeasibleModelError):
-            rows.extend(_na_group(labels, scheme, ebn0, "analytic"))
-            continue
-        pe, shared, ref = virtual
-        # a reference receiver's own trace sizes the batches, so its cell
-        # and the virtual cells are its own answers
-        own = None if ref is None else labels.index(ref)
-        rows += [cell(label, scheme, plan.answers[own]) if label == ref
-                 else solved(label, scheme, trace, shared)
-                 for trace, label in zip(receivers, labels)]
-        vlabel = VIRTUAL_LABELS[scheme]
-        rows.append(cell(vlabel, "nc", nc[own]) if own is not None and nc
-                    else solved(vlabel, "nc", pe, NonAdaptivePolicy()))
-        rows.append(solved(vlabel, "anc", pe, shared) if own is None
-                    else cell(vlabel, "anc", plan.answers[own]))
-    return rows
+    answer = _memo(solve, point.solved)
+
+    def ask(question):
+        if question[0] == "group":  # receiver k alone under the shared policy
+            _, scheme, k = question
+            question = (k, point.shared[scheme])
+        return answer(question)
+
+    def row(label, scheme, ebn0, answer) -> dict:
+        delay, packets = answer
+        return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
+                    packets, 0.0)
+
+    return point.rows("analytic", ask, row)
 
 
 def _mc_summary_row(label, scheme, ebn0, summary) -> dict:
@@ -202,51 +210,37 @@ def _cell_seed(scenario_seed: int, ebn0: float, scheme: str,
     return (scenario_seed, int(round(ebn0 * 1000)) + 10**6, SCHEMES.index(scheme), rk)
 
 
-def _mc_point(scenario: Scenario, params: ModelParams, plan: _Plan,
-              ebn0: float, trials: int, workers: int) -> list[dict]:
-    rows = []
-    group = plan.group
-    labels = group.labels
-
-    def config(scheme, receiver) -> SimConfig:
-        return SimConfig(
-            trials=trials,
-            seed=np.random.SeedSequence(_cell_seed(scenario.seed, ebn0, scheme,
-                                                   receiver)),
-            params=params,
-            decoding=scenario.decoding,
-            start_slot=scenario.start_slot,
-            workers=workers,
-        )
-
-    def single(label, scheme, trace, policy, receiver) -> dict:
+def _mc_point(scenario: Scenario, params: ModelParams, point: _Point,
+              trials: int, workers: int) -> list[dict]:
+    def simulate(simulator, scheme, receiver, *args):
+        """The run seeded by (scheme, receiver), or the error it raised."""
+        seed = _cell_seed(scenario.seed, point.ebn0, scheme, receiver)
+        config = SimConfig(trials=trials, seed=np.random.SeedSequence(seed),
+                           params=params, decoding=scenario.decoding,
+                           start_slot=scenario.start_slot, workers=workers)
         try:
-            summary = run_single(config(scheme, receiver), trace, policy)
-        except InfeasibleModelError:
-            return _row(label, scheme, ebn0, "montecarlo")
-        return _mc_summary_row(label, scheme, ebn0, summary)
+            return simulator(config, *args)
+        except InfeasibleModelError as exc:
+            return exc.with_traceback(None)
 
-    sizing = {"nc": [NonAdaptivePolicy()] * len(labels), "anc": plan.own}
-    for scheme, policies in sizing.items():
-        if scheme in scenario.schemes:
-            rows += [single(label, scheme, trace, policy, label)
-                     for trace, policy, label in zip(group.receivers, policies, labels)]
+    # one shared-sender run per virtual scheme, seeded as receiver -1
+    group_run = _memo(lambda scheme: simulate(
+        run_multicast, scheme, -1, point.group,
+        point.policies[point.shared[scheme]]), {})
 
-    for scheme, virtual in plan.virtual.items():
-        try:
-            if isinstance(virtual, InfeasibleModelError):
-                raise virtual
-            pe, shared, _ = virtual
-            result = run_multicast(config(scheme, -1), group, shared)
-        except InfeasibleModelError:
-            rows.extend(_na_group(labels, scheme, ebn0, "montecarlo"))
-            continue
-        rows += [_mc_summary_row(label, scheme, ebn0, summary)
-                 for label, summary in zip(result.labels, result.per_receiver)]
-        vlabel = VIRTUAL_LABELS[scheme]
-        rows.append(single(vlabel, "nc", pe, NonAdaptivePolicy(), -2))
-        rows.append(single(vlabel, "anc", pe, shared, -2))
-    return rows
+    def solve(question):
+        if question[0] == "group":  # row k of the scheme's group run
+            _, scheme, k = question
+            run = group_run(scheme)
+            return run if isinstance(run, InfeasibleModelError) else run.per_receiver[k]
+        # a receiver's own questions are seeded as its nc and anc cells,
+        # the V-MaxPe ones as receiver -2
+        trace, policy = question
+        return simulate(run_single, "nc" if policy == "nc" else "anc",
+                        -2 if trace == "maxpe" else point.group.labels[trace],
+                        point.traces[trace], point.policies[policy])
+
+    return point.rows("montecarlo", _memo(solve, {}), _mc_summary_row)
 
 
 def run_scenario(scenario: Scenario, engine: str = "analytic",
@@ -268,11 +262,11 @@ def run_scenario(scenario: Scenario, engine: str = "analytic",
             for tr in traces
         ]
         group = MulticastGroup(etraces, labels=scenario.receiver_labels())
-        plan = _plan(scenario, params, group, analytic, montecarlo)
+        point = _Point(scenario, params, group, ebn0, analytic, montecarlo)
         if analytic:
-            rows.extend(_analytic_point(scenario, params, plan, ebn0))
+            rows.extend(_analytic_point(scenario, params, point))
         if montecarlo:
-            rows.extend(_mc_point(scenario, params, plan, ebn0, trials, workers))
+            rows.extend(_mc_point(scenario, params, point, trials, workers))
     return rows
 
 

@@ -77,52 +77,37 @@ def build_maxpe(group: MulticastGroup) -> VirtualChannel:
     return VirtualChannel(pe=pe, scheme=MAXPE, reference_receiver=None)
 
 
-def own_adaptive(group: MulticastGroup, policies: list, params: ModelParams,
-                 start_slot: int) -> list:
-    """Each receiver's (delay, packets) on its own trace under its own
-    adaptive policy, the entry of `policies` in receiver order.
+def maxct_reference(labels: list, own: list) -> int:
+    """Index of the receiver with the largest expected completion time.
 
-    One solve per receiver; an infeasible receiver's entry is the
-    InfeasibleModelError its model raised.  `maxct_channel` ranks these
-    answers, and the analytic runner reads its `anc` cells and the
-    V-MaxCT `anc` cell from them.  The solves build the policies' tables,
-    which every later cell sized by the same policies reads again.
-    """
-    return [
-        expected_delay_packets(trace, params, policy, start_slot)
-        for trace, policy in zip(group.receivers, policies)
-    ]
-
-
-def maxct_channel(group: MulticastGroup, own: list) -> VirtualChannel:
-    """Virtual channel equal to the slowest receiver's own trace.
-
-    Ranks receivers by the expected completion times in `own`, as
-    `own_adaptive` returns them; ties break toward the smallest label.
-    Infeasible receivers propagate with their label attached.
+    `own` holds each receiver's (delay, packets) on its own trace under
+    its own adaptive policy, in receiver order; ties break toward the
+    smallest label.  Infeasible receivers propagate with their label
+    attached.
     """
     best = None
     best_time = -np.inf
-    for k in np.argsort(group.labels):
+    for k in np.argsort(labels):
         answer = own[k]
         if isinstance(answer, InfeasibleModelError):
-            raise InfeasibleModelError(
-                f"receiver {group.labels[k]}: {answer}") from answer
+            raise InfeasibleModelError(f"receiver {labels[k]}: {answer}") from answer
         if answer[0] > best_time:
             best_time = answer[0]
-            best = k
-    trace = group.receivers[best]
+            best = int(k)
+    return best
+
+
+def build_maxct(group: MulticastGroup, params: ModelParams,
+                start_slot: int = 0) -> VirtualChannel:
+    """Virtual channel of the receiver slowest to complete from `start_slot`."""
+    own = [expected_delay_packets(trace, params, AdaptivePolicy(trace), start_slot)
+           for trace in group.receivers]
+    k = maxct_reference(group.labels, own)
+    trace = group.receivers[k]
     pe = ErasureTrace(
         trace.pe.copy(),
         eb_n0_db=trace.eb_n0_db,
         bits_per_packet=trace.bits_per_packet,
         receiver_id=trace.receiver_id,
     )
-    return VirtualChannel(pe=pe, scheme=MAXCT, reference_receiver=group.labels[best])
-
-
-def build_maxct(group: MulticastGroup, params: ModelParams,
-                start_slot: int = 0) -> VirtualChannel:
-    """Virtual channel of the receiver slowest to complete from `start_slot`."""
-    policies = [AdaptivePolicy(trace) for trace in group.receivers]
-    return maxct_channel(group, own_adaptive(group, policies, params, start_slot))
+    return VirtualChannel(pe=pe, scheme=MAXCT, reference_receiver=group.labels[k])

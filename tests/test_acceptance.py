@@ -257,8 +257,7 @@ def test_criterion_7_rlnc_realism():
     from idealized decoding (paired seeds, < 0.5%); a 2^4 field pays a
     measurable dependence penalty."""
     pe = np.array([0.25, 0.15, 0.35, 0.2, 0.1, 0.3, 0.18, 0.22])
-    base = dict(trials=10_000, seed=303, params=GEO, record_trials=True,
-                payload_symbols=2)
+    base = dict(trials=10_000, seed=303, params=GEO, record_trials=True)
     policy = AdaptivePolicy(pe)
     ideal = run_single(SimConfig(**base, decoding="ideal"), pe, policy)
     real16 = run_single(SimConfig(**base, decoding=FieldSpec(16)), pe, policy)

@@ -165,6 +165,20 @@ class TestRun:
         assert run_cli("run", "--scenario", tmp_path / "none.yaml",
                        "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("option, value",
+                             [("--seed", -5), ("--trials", 0), ("--workers", 0)])
+    def test_bad_run_option_exits_two(self, small_scenario, tmp_path, capsys,
+                                      option, value):
+        s, spath = small_scenario
+        out = tmp_path / "x.csv"
+        try:
+            code = run_cli("run", "--scenario", spath, option, value, "--out", out)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+        assert option.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_traces(self, small_scenario, tmp_path):
         s, spath = small_scenario
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncmcast import completion
+from ncmcast import completion, simkit
 from ncmcast.channel import ErasureTrace
 from ncmcast.completion import AdaptivePolicy, ModelParams, NonAdaptivePolicy
 from ncmcast.gf import FieldSpec
@@ -45,7 +45,7 @@ FULL_SWEEP_SHA256 = {
 # their draws, which the statistical tests cover, re-records no hash.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
-             "bfa5b5eb0cf0c4ea6164286c2d25d85499d0524746280b6ba66614ffb285dd5e"),
+             "7e149cffd0b3ce83d5ad8a5f3913a496aae89ea7e8f6d1b4081ffa5c9167e7d0"),
     "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
                      "1e1501c2fed5368c957bfd4ca7e5af91c2e9e2009d303a69dc6a0bb5ac1e3936"),
 }
@@ -55,7 +55,7 @@ MONTECARLO_CSV_SHA256 = {
 # received packets are not innovative, so the gate covers the dependent
 # branch of elimination that the GF(2^8) hash above almost never reaches.
 SMALL_FIELD_RECORDS_SHA256 = \
-    "d45ef6b2f84e3bd86b00069506ef4c0ec9475e53e9e92aa544145bbdbfdb7628"
+    "71d05acbdcbbf5ae028c63d89d2ee97257d4384e4a5a2ea30577c9589110412e"
 
 
 def point(name, ebn0, **changes):
@@ -102,22 +102,51 @@ def test_analytic_point_solves_each_own_channel_once(monkeypatch):
 def test_engines_share_one_plan_per_point(monkeypatch):
     # one plan per point: the 10 own tables and the V-MaxPe table serve
     # both engines (the V-MaxCT sender reuses its reference's own table),
-    # and the 10 own solves that rank maxct serve the analytic cells too
+    # and the 10 own solves that rank maxct serve the analytic cells too.
+    # Monte Carlo simulates nc 10, anc 10, one group run per virtual scheme
+    # and the two V-MaxPe cells; the V-MaxCT cells are the reference's own.
     calls = {}
-    for name in ("_expected_cost", "_sizing_table"):
-        def counted(*args, name=name, original=getattr(completion, name)):
+    for module, name in ((completion, "_expected_cost"),
+                         (completion, "_sizing_table"), (simkit, "_simulate")):
+        def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(completion, name, counted)
+        monkeypatch.setattr(module, name, counted)
     scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
-    expected = {"analytic": (41, 11), "montecarlo": (10, 11), "both": (41, 11)}
+    expected = {"analytic": (41, 11, 0), "montecarlo": (10, 11, 24),
+                "both": (41, 11, 24)}
     rows = {}
     for engine, counts in expected.items():
-        calls.update(_expected_cost=0, _sizing_table=0)
+        calls.update(_expected_cost=0, _sizing_table=0, _simulate=0)
         rows[engine] = run_scenario(scenario, engine=engine)
-        assert (calls["_expected_cost"], calls["_sizing_table"]) == counts
+        assert (calls["_expected_cost"], calls["_sizing_table"],
+                calls["_simulate"]) == counts
     assert rows["both"] == rows["analytic"] + rows["montecarlo"]
+
+
+def test_vmaxct_rows_are_the_reference_receivers_own():
+    engines = {}  # engine -> {(receiver, scheme): row}
+    for row in run_scenario(point("geo-trend-demo.yaml", 7.0, trials=30),
+                            engine="both"):
+        engines.setdefault(row["engine"], {})[row["receiver"], row["scheme"]] = row
+    analytic = engines["analytic"]
+    # the reference is the receiver slowest under its own adaptive policy
+    ref = max((row for (_, scheme), row in analytic.items()
+               if scheme == "anc" and not row["receiver"].startswith("V-")),
+              key=lambda row: row["delay_s"])["receiver"]
+    for cells in engines.values():
+        for scheme in ("nc", "anc"):
+            assert cells["V-MaxCT", scheme] == dict(cells[ref, scheme],
+                                                    receiver="V-MaxCT")
+
+
+def test_maxct_alone_gives_the_full_runs_maxct_rows():
+    full = point("geo-trend-demo.yaml", 7.0, trials=30)
+    alone = run_scenario(replace(full, schemes=["maxct"]), engine="both")
+    wanted = [row for row in run_scenario(full, engine="both")
+              if row["scheme"] == "maxct" or row["receiver"] == "V-MaxCT"]
+    assert alone == wanted
 
 
 @pytest.mark.parametrize("case", sorted(MONTECARLO_CSV_SHA256))
