@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .completion import InfeasibleModelError
 from .runner import VIRTUAL_LABELS
 from .scenario import Scenario
+from .virtualize import maxct_reference
 
 MS = 1000.0
 
@@ -133,21 +135,16 @@ def build_table_i(index: ResultIndex, labels: list[int],
 
 
 def _maxct_references(index: ResultIndex, labels: list[int]) -> dict[float, int | None]:
-    """Reference receiver per sweep point: the largest adaptive delay.
-
-    Ties break toward the smallest receiver label, matching the
-    virtual-channel selection rule.
-    """
+    """Reference receiver per sweep point, ranked on the `anc` delays by
+    `virtualize.maxct_reference`; a point with an NA `anc` has none."""
     refs: dict[float, int | None] = {}
     for ebn0 in index.sweep:
-        best = None
-        best_delay = -np.inf
-        for label in labels:
-            d = index.value(label, "anc", ebn0, "delay_s")
-            if d is not None and d > best_delay:
-                best_delay = d
-                best = label
-        refs[ebn0] = best
+        delays = [index.value(label, "anc", ebn0, "delay_s") for label in labels]
+        own = [InfeasibleModelError() if d is None else (d, None) for d in delays]
+        try:
+            refs[ebn0] = labels[maxct_reference(labels, own)]
+        except InfeasibleModelError:
+            refs[ebn0] = None
     return refs
 
 

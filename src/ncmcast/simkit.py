@@ -14,19 +14,19 @@ when its coefficient vectors reach full rank, so it tracks only their
 span (`rlnc.Span`); payloads play no part, and only `rlnc.Generation`
 codes them.
 
-Two kernels run a group:
+One kernel runs every trial of a run together, one round at a time:
+each round it reads every active trial's batch from the policy's table,
+taken once per run, and draws the round's erasures as one block of
+(packets, receivers) in trial order.  A trial raises only when it
+visits a window the table marks uncovered.  Which generators draw is
+the one choice left:
 
-- the per-trial loop, for any decoding.  Per-trial randomness derives
-  from the root seed by seed-sequence splitting, so distributing trials
-  across workers never changes results;
-- the grouped kernel, for idealized decoding, which advances all trials
-  sharing a (largest deficit, slot) state together.  It is statistically
-  equivalent but consumes random numbers in a different order.
-
-The per-trial loop runs for RLNC decoding or when trial records are
-kept, and the grouped kernel otherwise.  Both read every batch from the
-policy's table, taken once per run; a trial raises only when it visits
-a window the table marks uncovered.
+- idealized decoding without kept records draws from one generator for
+  the whole run;
+- RLNC decoding or kept records give each trial its own generators,
+  derived from the root seed by seed-sequence splitting, which draw
+  that trial's share of each round.  A trial then draws as it would run
+  alone, so distributing trials across workers never changes results.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .gf import FieldSpec, field_for
 from .rlnc import Span
 from .virtualize import MulticastGroup
 
-DRAW_BLOCK = 1 << 16  # uniform draws per call in the grouped kernel
+DRAW_BLOCK = 1 << 16  # most uniform draws per block of trials in one round
 
 
 @dataclass
@@ -165,15 +165,7 @@ class _Outcome:
                    np.full(shape, None, dtype=object))
 
 
-def _batch(table: np.ndarray, remaining: int, slot: int) -> int:
-    """The sizing table's batch for `remaining` at `slot`; 0 is uncovered."""
-    n = int(table[remaining - 1, slot])
-    if n == 0:
-        raise InfeasibleWindowError(slot, remaining)
-    return n
-
-
-# -- per-trial loop (any decoding) ---------------------------------------------
+# -- the kernel ----------------------------------------------------------------
 
 
 def _trial_rngs(trial_seed: np.random.SeedSequence):
@@ -181,62 +173,39 @@ def _trial_rngs(trial_seed: np.random.SeedSequence):
     return np.random.default_rng(erasure_ss), np.random.default_rng(coding_ss)
 
 
-def _per_trial(args) -> _Outcome:
-    seeds, pes, table, params, field_spec, max_rounds, start_slot, keep_timeline = args
+def _blocks(draws: np.ndarray):
+    """Runs [a, b) of consecutive trials of at most DRAW_BLOCK draws in all,
+    or of one trial that alone draws more; `draws` counts each trial's."""
+    ends = np.cumsum(draws)
+    a = 0
+    while a < ends.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + DRAW_BLOCK, side="right")))
+        yield a, b
+        a = b
+
+
+def _kernel(args) -> _Outcome:
+    """Every trial advanced together, one round at a time.
+
+    `seeds` is one seed, whose generator draws every trial's erasures in
+    trial order, or one seed per trial, whose `_trial_rngs` pair draws
+    that trial's share of each round just as a trial run on its own would.
+    """
+    seeds, trials, pes, table, params, field_spec, max_rounds, start_slot, keep_timeline = args
     n_rx, tau = pes.shape
     dof = params.dof
     field = None if field_spec is None else field_for(field_spec)
-    out = _Outcome.start(len(seeds), n_rx, dof)
-    for i, seed in enumerate(seeds):
-        erng, crng = _trial_rngs(seed)
-        if field is not None:
-            spans = [Span(field, dof) for _ in range(n_rx)]
-        if keep_timeline:
-            for rx in range(n_rx):
-                out.timelines[i, rx] = [dof]
-        remaining = out.remaining[i]
-        j = start_slot % tau
-        t = 0.0
-        rounds = 0
-        sent = 0
-        while remaining.any() and rounds < max_rounds:
-            live = remaining > 0
-            batch = _batch(table, int(remaining.max()), j)
-            slots = (j + np.arange(batch)) % tau
-            survive = erng.random((batch, n_rx)) >= pes[:, slots].T
-            if field is None:
-                remaining[:] = np.maximum(remaining - survive.sum(axis=0), 0)
-            else:
-                coefs = field.random_symbols(crng, (batch, dof))
-                for rx in np.flatnonzero(live):
-                    span = spans[rx]
-                    for k in np.flatnonzero(survive[:, rx]):
-                        span.absorb(coefs[k])
-                        if span.is_complete:
-                            break
-                    remaining[rx] = dof - span.rank
-            t += batch * params.t_p + params.t_w
-            j = (j + batch + params.ack_slot_advance) % tau
-            rounds += 1
-            sent += batch
-            out.delay[i, live] = t
-            out.packets[i, live] = sent
-            out.rounds[i, live] = rounds
-            if keep_timeline:
-                for rx in np.flatnonzero(live):
-                    out.timelines[i, rx].append(int(remaining[rx]))
-    return out
-
-
-# -- grouped kernel (idealized decoding) ---------------------------------------
-
-
-def _grouped(seed, pes: np.ndarray, table: np.ndarray, params: ModelParams,
-             trials: int, max_rounds: int, start_slot: int) -> _Outcome:
-    rng = np.random.default_rng(_as_seedseq(seed))
-    n_rx, tau = pes.shape
-    q = 1.0 - pes
-    out = _Outcome.start(trials, n_rx, params.dof)
+    if isinstance(seeds, np.random.SeedSequence):
+        shared, rngs = np.random.default_rng(seeds), None
+    else:
+        shared, rngs = None, [_trial_rngs(s) for s in seeds]
+    if field is not None:
+        spans = [[Span(field, dof) for _ in range(n_rx)] for _ in range(trials)]
+    out = _Outcome.start(trials, n_rx, dof)
+    if keep_timeline:
+        for i, rx in np.ndindex(trials, n_rx):
+            out.timelines[i, rx] = [dof]
     remaining = out.remaining
     slot = np.full(trials, start_slot % tau, dtype=np.int64)
     t = np.zeros(trials)
@@ -246,29 +215,43 @@ def _grouped(seed, pes: np.ndarray, table: np.ndarray, params: ModelParams,
         active = np.flatnonzero(live.any(axis=1))
         if active.size == 0:
             break
-        keys = remaining[active].max(axis=1) * tau + slot[active]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
-        for g, key in enumerate(uniq):
-            members = active[order[bounds[g]:bounds[g + 1]]]
-            r, j = divmod(int(key), tau)
-            batch = _batch(table, r, j)
-            qs = q[:, (j + np.arange(batch)) % tau].T[:, None, :]
-            # packets in blocks of about DRAW_BLOCK draws: the same stream as
-            # one (members, receivers) draw per packet, in fewer calls
-            step = max(1, DRAW_BLOCK // (members.size * n_rx))
-            succ = np.zeros((members.size, n_rx), dtype=np.int64)
-            for k in range(0, batch, step):
-                u = rng.random((min(step, batch - k), members.size, n_rx))
-                succ += (u < qs[k:k + step]).sum(axis=0)
-            remaining[members] = np.maximum(remaining[members] - succ, 0)
-            t[members] += batch * params.t_p + params.t_w
-            sent[members] += batch
-            slot[members] = (j + batch + params.ack_slot_advance) % tau
+        deficit = remaining[active].max(axis=1)
+        batch = table[deficit - 1, slot[active]].astype(np.int64)
+        if not batch.all():  # the first trial in an uncovered window
+            i = int(np.argmin(batch))
+            raise InfeasibleWindowError(int(slot[active[i]]), int(deficit[i]))
+        for a, b in _blocks(batch * n_rx):
+            members, nb = active[a:b], batch[a:b]
+            first = np.cumsum(nb) - nb  # each trial's first packet row
+            slots = (np.repeat(slot[members] - first, nb) + np.arange(nb.sum())) % tau
+            if shared is not None:
+                u = shared.random((slots.size, n_rx))
+            else:
+                u = np.concatenate([rngs[i][0].random((n, n_rx))
+                                    for i, n in zip(members, nb)])
+            survive = u >= pes[:, slots].T
+            if field is None:
+                remaining[members] = np.maximum(
+                    remaining[members] - np.add.reduceat(survive, first, axis=0), 0)
+                continue
+            for i, n, f in zip(members, nb, first):
+                coefs = field.random_symbols(rngs[i][1], (n, dof))
+                for rx in np.flatnonzero(live[i]):
+                    span = spans[i][rx]
+                    for k in np.flatnonzero(survive[f:f + n, rx]):
+                        span.absorb(coefs[k])
+                        if span.is_complete:
+                            break
+                    remaining[i, rx] = dof - span.rank
+        t[active] += batch * params.t_p + params.t_w
+        sent[active] += batch
+        slot[active] = (slot[active] + batch + params.ack_slot_advance) % tau
         np.copyto(out.delay, t[:, None], where=live)
         np.copyto(out.packets, sent[:, None], where=live)
         out.rounds[live] = rounds
+        if keep_timeline:
+            for i, rx in zip(*np.nonzero(live)):
+                out.timelines[i, rx].append(int(remaining[i, rx]))
     return out
 
 
@@ -278,25 +261,25 @@ def _grouped(seed, pes: np.ndarray, table: np.ndarray, params: ModelParams,
 def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
     """Trials of a sender that sizes each batch from `policy`'s table at
     the largest outstanding deficit, to receivers with erasure rows `pes`
-    (receivers, slots); RLNC decoding or kept records take the per-trial
-    loop, anything else the grouped kernel."""
+    (receivers, slots); RLNC decoding or kept records give each trial its
+    own generators, anything else shares one across the run."""
     field_spec = config.field_spec
     table = policy.table(config.params.dof, pes.shape[1])
-    if field_spec is None and not config.record_trials:
-        return _grouped(seed, pes, table, config.params, config.trials,
-                        config.max_rounds, config.start_slot)
-    seeds = _as_seedseq(seed).spawn(config.trials)
+    seed = _as_seedseq(seed)
     common = (pes, table, config.params, field_spec, config.max_rounds,
               config.start_slot, config.record_trials)
+    if field_spec is None and not config.record_trials:
+        return _kernel((seed, config.trials) + common)
+    seeds = seed.spawn(config.trials)
     if config.workers == 1:
-        return _per_trial((seeds,) + common)
+        return _kernel((seeds, config.trials) + common)
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
 
     bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
-    tasks = [(seeds[a:b],) + common
+    tasks = [(seeds[a:b], b - a) + common
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        parts = list(pool.map(_per_trial, tasks))
+        parts = list(pool.map(_kernel, tasks))
     # the chunks' outcomes, joined in trial order
     return _Outcome(*(np.concatenate(a)
                       for a in zip(*(vars(p).values() for p in parts))))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from ncmcast.runner import (
     write_results_csv,
 )
 from ncmcast.scenario import Scenario, save_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -278,6 +282,21 @@ class TestReport:
         s, spath = small_scenario
         assert run_cli("report", tmp_path / "none.csv", "--scenario", spath,
                        "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize("name, status, row", [
+        ("geo-trend-demo.yaml", 0, ["MaxCT", "6,9", "-2.25", "-2.35"]),
+        # every geo-iv point has an NA anc cell, so no point has a reference
+        ("geo-iv-defaults.yaml", 4, ["MaxCT", "NA", "NA", "NA"]),
+    ])
+    def test_maxct_references_need_every_anc_cell(self, name, status, row,
+                                                  tmp_path):
+        results = tmp_path / "results.csv"
+        out = tmp_path / "report"
+        assert run_cli("run", "--scenario", SCENARIOS / name, "--out", results) == 0
+        assert run_cli("report", results, "--scenario", SCENARIOS / name,
+                       "--out", out) == status
+        table = parse_markdown_table((out / "table-ii.md").read_text())
+        assert [r[:4] for r in table if r[0] == "MaxCT"] == [row]
 
     def test_montecarlo_only_results_reportable(self, small_scenario, tmp_path):
         s, spath = small_scenario

@@ -38,16 +38,16 @@ FULL_SWEEP_SHA256 = {
 }
 
 # SHA-256 of Monte Carlo results CSVs of geo-trend-demo at 7.0 dB on the
-# scenario's seed: RLNC decoding on every scheme (the per-trial loop), and
-# nc/anc under idealized decoding (the grouped kernel, one receiver at a
-# time).  A change to the simulator must leave these bytes as they are.
+# scenario's seed: RLNC decoding on every scheme (generators per trial),
+# and nc/anc under idealized decoding (one generator per run, one receiver
+# at a time).  A change to the simulator must leave these bytes as they are.
 # Ideal maxpe/maxct cells are left out, so that a change in the order of
 # their draws, which the statistical tests cover, re-records no hash.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
              "7e149cffd0b3ce83d5ad8a5f3913a496aae89ea7e8f6d1b4081ffa5c9167e7d0"),
     "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
-                     "1e1501c2fed5368c957bfd4ca7e5af91c2e9e2009d303a69dc6a0bb5ac1e3936"),
+                     "c7018e22a3f6209f842ddb78936e5003f88ae58f55f539665f7b8ad734dbd4e8"),
 }
 
 # SHA-256 of the GF(2^4) trial records of one anc receiver and one
@@ -175,7 +175,7 @@ def test_montecarlo_cell_with_a_trial_out_of_rounds_is_na():
 def test_montecarlo_virtual_failure_writes_one_row_per_cell(tmp_path):
     # At 10 dB a V-MaxPe anc trial meets a window no batch covers after the
     # multicast rows are written; that cell alone becomes NA.
-    rows = run_scenario(point("geo-iv-defaults.yaml", 10.0, trials=10),
+    rows = run_scenario(point("geo-iv-defaults.yaml", 10.0, trials=50),
                         engine="montecarlo")
     keys = cell_keys(rows)
     assert len(rows) == 44

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncmcast import simkit
 from ncmcast.channel import ErasureTrace
 from ncmcast.completion import (
     AdaptivePolicy,
@@ -9,7 +11,8 @@ from ncmcast.completion import (
     ModelParams,
     NonAdaptivePolicy,
 )
-from ncmcast.gf import FieldSpec
+from ncmcast.gf import FieldSpec, field_for
+from ncmcast.rlnc import Span
 from ncmcast.simkit import SimConfig, run_multicast, run_single
 from ncmcast.virtualize import MulticastGroup, build_maxct, build_maxpe
 
@@ -328,3 +331,104 @@ class TestDelayBands:
         gap2 = grouped[2].min() - grouped[1].max()
         spread = max(np.ptp(grouped[b]) for b in range(3))
         assert min(gap1, gap2) > spread
+
+
+def per_trial_records(config, pes, policy):
+    """The former one-trial-at-a-time loop, kept as the kernel's reference:
+    each trial runs alone to the end on its own `_trial_rngs` pair.
+    Returns (trial, receiver index, completion time, packets, rounds,
+    completed, dof timeline) per receiver per trial."""
+    n_rx, tau = pes.shape
+    params, dof = config.params, config.params.dof
+    table = policy.table(dof, tau)
+    field = None if config.field_spec is None else field_for(config.field_spec)
+    records = []
+    for i, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.trials)):
+        erng, crng = simkit._trial_rngs(seed)
+        spans = [Span(field, dof) for _ in range(n_rx)] if field else None
+        remaining = np.full(n_rx, dof)
+        timelines = [[dof] for _ in range(n_rx)]
+        end = np.zeros((3, n_rx))  # delay, packets, rounds
+        j, t, rounds, sent = config.start_slot % tau, 0.0, 0, 0
+        while remaining.any() and rounds < config.max_rounds:
+            live = remaining > 0
+            batch = int(table[remaining.max() - 1, j])
+            if batch == 0:
+                raise InfeasibleWindowError(j, int(remaining.max()))
+            slots = (j + np.arange(batch)) % tau
+            survive = erng.random((batch, n_rx)) >= pes[:, slots].T
+            if field is None:
+                remaining = np.maximum(remaining - survive.sum(axis=0), 0)
+            else:
+                coefs = field.random_symbols(crng, (batch, dof))
+                for rx in np.flatnonzero(live):
+                    for k in np.flatnonzero(survive[:, rx]):
+                        spans[rx].absorb(coefs[k])
+                        if spans[rx].is_complete:
+                            break
+                    remaining[rx] = dof - spans[rx].rank
+            t += batch * params.t_p + params.t_w
+            j = (j + batch + params.ack_slot_advance) % tau
+            rounds += 1
+            sent += batch
+            end[:, live] = np.array([[t], [sent], [rounds]])
+            for rx in np.flatnonzero(live):
+                timelines[rx].append(int(remaining[rx]))
+        records += [(i, rx, float(end[0, rx]), int(end[1, rx]), int(end[2, rx]),
+                     bool(remaining[rx] == 0), timelines[rx]) for rx in range(n_rx)]
+    return records
+
+
+erasure = st.one_of(st.sampled_from([0.0, 1.0, 0.2, 0.5]), st.floats(0.0, 1.0))
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_rx=st.integers(1, 3), tau=st.integers(1, 12),
+           trials=st.integers(1, 12), decoding=st.sampled_from(["ideal", FieldSpec(4)]),
+           shared=st.booleans(), start_slot=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_records_equal_per_trial_loop(self, data, n_rx, tau, trials,
+                                               decoding, shared, start_slot, seed):
+        rows = [np.array(data.draw(st.lists(erasure, min_size=tau, max_size=tau)))
+                for _ in range(n_rx)]
+        group = make_group(rows)
+        policy = maxpe_policy(group) if shared else NonAdaptivePolicy()
+        config = SimConfig(trials=trials, seed=seed, params=PARAMS, decoding=decoding,
+                           start_slot=start_slot, max_rounds=30, record_trials=True)
+        try:
+            want = per_trial_records(config, np.vstack(rows), policy)
+        except InfeasibleWindowError:
+            with pytest.raises(InfeasibleWindowError):
+                run_multicast(config, group, policy)
+            return
+        runs = [(run_multicast(config, group, policy), group.labels)]
+        if n_rx == 1:  # labelled receiver 0
+            runs.append((run_single(config, rows[0], policy), [0]))
+        for run, labels in runs:
+            assert [(r.trial, labels.index(r.receiver), r.completion_time,
+                     r.packets_sent, r.rounds, r.completed, r.dof_timeline)
+                    for r in run.records] == want
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_shared_generator_ignores_draw_block(self, monkeypatch, block):
+        group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
+                            [0.2, 0.2, 0.6, 0.1]])
+        # 0.8 over 30 slots, then nothing arrives: trials left with two or
+        # more packets to go at slot 21 meet an uncovered window in round 2
+        pe = np.r_[np.full(30, 0.8), np.ones(270)]
+
+        def outcomes():
+            cfg = SimConfig(trials=500, seed=33, params=PARAMS)
+            run = run_multicast(cfg, group, maxpe_policy(group))
+            with pytest.raises(InfeasibleWindowError) as err:
+                run_single(cfg, pe, AdaptivePolicy(pe))
+            return ([(s.delay, s.packets, s.rounds, s.n_failures)
+                     for s in run.per_receiver]
+                    + [run.sender_packets, run.sender_rounds],
+                    (err.value.start_slot, err.value.remaining))
+
+        default = outcomes()
+        monkeypatch.setattr(simkit, "DRAW_BLOCK", block)
+        assert outcomes() == default
+        assert default[1] == (21, 2)
