@@ -234,13 +234,6 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     return table
 
 
-def _require_covered(batches: np.ndarray, remaining: int) -> None:
-    """Raise InfeasibleWindowError at the first 0 in one level's batches."""
-    zeros = np.flatnonzero(batches == 0)
-    if zeros.size:
-        raise InfeasibleWindowError(int(zeros[0]), remaining)
-
-
 class NonAdaptivePolicy:
     """Channel-oblivious sizing: each round sends the deficit, uncompensated."""
 
@@ -334,22 +327,24 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     Returns an array of shape (3, dof+1, tau), one backward solve with
     three right-hand sides for a round of N packets: [0] the time
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
-    Row 0 of each is the absorbed level.  One fold gives the batch
-    outcomes of every level up to the first uncovered one, and each
+    Row 0 of each is the absorbed level.  A window the table leaves
+    uncovered raises before any solve, at the first in level-major
+    order.  One fold gives the batch outcomes of every level, and each
     level is one walk for all three right-hand sides.
     """
     tau = pe.size
     dof = params.dof
     ack = params.ack_slot_advance
     table = policy.table(dof, tau)
-    # the levels below the first uncovered window; that level raises below
-    covered = np.logical_and.accumulate(table.all(axis=1))
-    dists = _level_distributions(pe, table[covered])
+    zeros = np.flatnonzero(table == 0)
+    if zeros.size:
+        level, slot = divmod(int(zeros[0]), tau)
+        raise InfeasibleWindowError(slot, level + 1)
+    dists = _level_distributions(pe, table)
     T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)
     for r in range(1, dof + 1):
         batches = table[r - 1]
-        _require_covered(batches, r)
         dist = dists[r - 1, :, -r:]
         successor = (slots + batches + ack) % tau
         c = dist[:, -1]

@@ -6,13 +6,12 @@ trace and the policy that sizes its batches.  Each engine answers each
 distinct question once and writes one row per cell, so the V-MaxCT
 cells, which ask their reference receiver's own questions, are that
 receiver's rows in both engines.  A receiver's cell under a virtual
-scheme is the one question the engines answer differently: the analytic
-engine solves the receiver alone under the shared policy, Monte Carlo
-reads its row of one shared-sender run of the whole group.  Cells whose
-model is infeasible (a trace too erased to cover the block within the
-batch cap) are flagged with NA values and the sweep continues.  So are
-Monte Carlo cells where any trial ran out of rounds, since a mean over
-the trials that completed is biased low.
+scheme asks its own trace under the shared policy, so every cell is
+receiver-local; `simkit.run_multicast` gives the shared sender's
+totals.  Cells whose model is infeasible (a trace too erased to cover
+the block within the batch cap) are flagged with NA values and the
+sweep continues.  So are Monte Carlo cells where any trial ran out of
+rounds, since a mean over the trials that completed is biased low.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .completion import (
     expected_delay_packets,
 )
 from .scenario import SCHEMES, Scenario
-from .simkit import SimConfig, run_multicast, run_single
+from .simkit import SimConfig, run_single
 from .virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 RESULT_FIELDS = (
@@ -96,37 +95,36 @@ class _Point:
     A question is (trace key, policy key).  The trace key is a receiver
     index or "maxpe"; the policy key is "nc", a receiver index (that
     receiver's own adaptive policy) or "maxpe".  A receiver's cell under
-    a virtual scheme asks ("group", scheme, k), whose sender sizes from
-    policy key `shared[scheme]`.  `solved` holds the analytic answers
-    found while planning: the own solves that rank maxct.
+    a virtual scheme asks its own trace under that scheme's policy key:
+    "maxpe", or the V-MaxCT reference's index.  `solved` holds the
+    analytic answers found while planning: the own solves that rank
+    maxct.
     """
 
     def __init__(self, scenario: Scenario, params: ModelParams,
                  group: MulticastGroup, ebn0: float, analytic: bool,
                  montecarlo: bool):
         schemes = scenario.schemes
-        self.ebn0, self.group = ebn0, group
+        self.ebn0, self.labels = ebn0, group.labels
         self.traces = dict(enumerate(group.receivers))
         own = {k: AdaptivePolicy(trace) for k, trace in self.traces.items()}
         self.policies = {"nc": NonAdaptivePolicy()}
-        self.shared, self.solved = {}, {}
+        self.solved = {}
         if "maxct" in schemes or (analytic and "anc" in schemes):
             self.solved = {(k, k): expected_delay_packets(
                 self.traces[k], params, own[k], scenario.start_slot) for k in own}
         if "maxpe" in schemes:
             self.traces["maxpe"] = build_maxpe(group).pe
             self.policies["maxpe"] = AdaptivePolicy(self.traces["maxpe"])
-            self.shared["maxpe"] = "maxpe"
         ref = None
         if "maxct" in schemes:
             try:
-                ref = self.shared["maxct"] = maxct_reference(
-                    group.labels, [self.solved[k, k] for k in own])
+                ref = maxct_reference(group.labels, [self.solved[k, k] for k in own])
             except InfeasibleModelError as exc:
                 ref = exc.with_traceback(None)
         if montecarlo:
             self.policies.update(own)
-        elif "maxct" in self.shared:
+        elif isinstance(ref, int):
             # the analytic cells read the own answers from `solved`, so
             # only the V-MaxCT sender's own table is read again
             self.policies[ref] = own[ref]
@@ -156,7 +154,7 @@ def _cells(schemes, labels, ref) -> list[tuple]:
     for scheme, key in (("maxpe", "maxpe"), ("maxct", ref)):
         if scheme in schemes:
             vlabel = VIRTUAL_LABELS[scheme]
-            asked = [(label, scheme, ("group", scheme, k)) for k, label in own]
+            asked = [(label, scheme, (k, key)) for k, label in own]
             asked += [(vlabel, "nc", (key, "nc")), (vlabel, "anc", (key, key))]
             undefined = isinstance(key, InfeasibleModelError)
             cells += [(label, s, key if undefined else q) for label, s, q in asked]
@@ -180,20 +178,12 @@ def _analytic_point(scenario: Scenario, params: ModelParams,
         return expected_delay_packets(point.traces[trace], params,
                                       point.policies[policy], scenario.start_slot)
 
-    answer = _memo(solve, point.solved)
-
-    def ask(question):
-        if question[0] == "group":  # receiver k alone under the shared policy
-            _, scheme, k = question
-            question = (k, point.shared[scheme])
-        return answer(question)
-
     def row(label, scheme, ebn0, answer) -> dict:
         delay, packets = answer
         return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
                     packets, 0.0)
 
-    return point.rows("analytic", ask, row)
+    return point.rows("analytic", _memo(solve, point.solved), row)
 
 
 def _mc_summary_row(label, scheme, ebn0, summary) -> dict:
@@ -212,33 +202,21 @@ def _cell_seed(scenario_seed: int, ebn0: float, scheme: str,
 
 def _mc_point(scenario: Scenario, params: ModelParams, point: _Point,
               trials: int, workers: int) -> list[dict]:
-    def simulate(simulator, scheme, receiver, *args):
-        """The run seeded by (scheme, receiver), or the error it raised."""
+    def solve(question):
+        """The run seeded by the question's scheme and receiver, or the
+        error it raised.  The V-MaxPe trace is receiver -2."""
+        trace, policy = question
+        scheme = ("nc" if policy == "nc" else "anc" if policy == trace
+                  else "maxpe" if policy == "maxpe" else "maxct")
+        receiver = -2 if trace == "maxpe" else point.labels[trace]
         seed = _cell_seed(scenario.seed, point.ebn0, scheme, receiver)
         config = SimConfig(trials=trials, seed=np.random.SeedSequence(seed),
                            params=params, decoding=scenario.decoding,
                            start_slot=scenario.start_slot, workers=workers)
         try:
-            return simulator(config, *args)
+            return run_single(config, point.traces[trace], point.policies[policy])
         except InfeasibleModelError as exc:
             return exc.with_traceback(None)
-
-    # one shared-sender run per virtual scheme, seeded as receiver -1
-    group_run = _memo(lambda scheme: simulate(
-        run_multicast, scheme, -1, point.group,
-        point.policies[point.shared[scheme]]), {})
-
-    def solve(question):
-        if question[0] == "group":  # row k of the scheme's group run
-            _, scheme, k = question
-            run = group_run(scheme)
-            return run if isinstance(run, InfeasibleModelError) else run.per_receiver[k]
-        # a receiver's own questions are seeded as its nc and anc cells,
-        # the V-MaxPe ones as receiver -2
-        trace, policy = question
-        return simulate(run_single, "nc" if policy == "nc" else "anc",
-                        -2 if trace == "maxpe" else point.group.labels[trace],
-                        point.traces[trace], point.policies[policy])
 
     return point.rows("montecarlo", _memo(solve, {}), _mc_summary_row)
 

@@ -5,8 +5,11 @@ table at the largest outstanding deficit in a group of receivers, and
 each receiver loses packets on its own erasure trace, with lossless
 round-trip acknowledgments.  A single receiver is a group of one.  The
 caller hands in the policy (a receiver's own, the non-adaptive one, or
-one shared by the group), so the simulator names no scheme.  A
-receiver's clock stops at the end of the round that completes it.
+one shared by the group), so the simulator names no scheme.  Every cell
+of the runner is a `run_single`, a receiver under a virtual scheme's
+shared policy included; `run_multicast` drives one sender for the whole
+group and gives its totals.  A receiver's clock stops at the end of the
+round that completes it.
 Decoding is either idealized (every received packet is one degree of
 freedom) or real random linear coding over a configured field, where
 dependent combinations waste receptions.  A coded receiver completes

@@ -97,11 +97,12 @@ class TestRun:
         assert ebn0s == set(s.eb_n0_db)
 
     def test_engines_agree_column_wise(self, small_scenario, tmp_path):
-        """nc/anc cells and virtual-receiver cells estimate the same
-        quantity in both engines (z-test); per-receiver cells of the
-        virtualization schemes follow the receiver-local plan convention
-        analytically and the group-driven sender in simulation, so those
-        agree to a small relative tolerance instead."""
+        """Every cell estimates the same receiver-local quantity in both
+        engines.  nc/anc and virtual-receiver cells pass a z-test; the
+        per-receiver cells of the virtualization schemes get a 0.5 %
+        relative slack on top, for rare multi-round tails that a finite
+        run does not sample (a cell whose every trial is equal has se 0,
+        yet sits a relative 1e-5 below the analytic value)."""
         s, spath = small_scenario
         out = tmp_path / "both.csv"
         assert run_cli("run", "--scenario", spath, "--engine", "both",

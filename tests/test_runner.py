@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from ncmcast import completion, simkit
-from ncmcast.channel import ErasureTrace
-from ncmcast.completion import AdaptivePolicy, ModelParams, NonAdaptivePolicy
+from ncmcast.channel import ErasureTrace, to_erasure_trace
+from ncmcast.completion import (AdaptivePolicy, ModelParams, NonAdaptivePolicy,
+                                expected_delay_packets)
 from ncmcast.gf import FieldSpec
-from ncmcast.runner import _mc_summary_row, run_scenario, write_results_csv
+from ncmcast.runner import (_cell_seed, _mc_summary_row, build_traces, model_params,
+                            run_scenario, write_results_csv)
 from ncmcast.scenario import load_scenario
 from ncmcast.simkit import SimConfig, run_multicast, run_single
-from ncmcast.virtualize import MulticastGroup, build_maxpe
+from ncmcast.virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,7 +47,7 @@ FULL_SWEEP_SHA256 = {
 # their draws, which the statistical tests cover, re-records no hash.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
-             "7e149cffd0b3ce83d5ad8a5f3913a496aae89ea7e8f6d1b4081ffa5c9167e7d0"),
+             "dbb35fa724e964cec77308efea2bbeda89042203ad6974ee0a8b812e59864413"),
     "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
                      "c7018e22a3f6209f842ddb78936e5003f88ae58f55f539665f7b8ad734dbd4e8"),
 }
@@ -103,8 +105,9 @@ def test_engines_share_one_plan_per_point(monkeypatch):
     # one plan per point: the 10 own tables and the V-MaxPe table serve
     # both engines (the V-MaxCT sender reuses its reference's own table),
     # and the 10 own solves that rank maxct serve the analytic cells too.
-    # Monte Carlo simulates nc 10, anc 10, one group run per virtual scheme
-    # and the two V-MaxPe cells; the V-MaxCT cells are the reference's own.
+    # Monte Carlo simulates nc 10, anc 10, maxpe 10, the two V-MaxPe cells
+    # and maxct 9: the reference receiver's maxct cell and the V-MaxCT
+    # cells are the reference's own.
     calls = {}
     for module, name in ((completion, "_expected_cost"),
                          (completion, "_sizing_table"), (simkit, "_simulate")):
@@ -114,8 +117,8 @@ def test_engines_share_one_plan_per_point(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
-    expected = {"analytic": (41, 11, 0), "montecarlo": (10, 11, 24),
-                "both": (41, 11, 24)}
+    expected = {"analytic": (41, 11, 0), "montecarlo": (10, 11, 41),
+                "both": (41, 11, 41)}
     rows = {}
     for engine, counts in expected.items():
         calls.update(_expected_cost=0, _sizing_table=0, _simulate=0)
@@ -139,6 +142,34 @@ def test_vmaxct_rows_are_the_reference_receivers_own():
         for scheme in ("nc", "anc"):
             assert cells["V-MaxCT", scheme] == dict(cells[ref, scheme],
                                                     receiver="V-MaxCT")
+
+
+def test_montecarlo_virtual_cells_are_receiver_local():
+    # each receiver's maxpe/maxct row is that receiver run alone under the
+    # shared policy, seeded as its own cell
+    scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
+    params = model_params(scenario)
+    traces = [to_erasure_trace(tr, 7.0, scenario.modulation, scenario.bits_per_packet)
+              for tr in build_traces(scenario)]
+    labels = scenario.receiver_labels()
+    ref = maxct_reference(labels, [
+        expected_delay_packets(tr, params, AdaptivePolicy(tr), scenario.start_slot)
+        for tr in traces])
+    shared = {"maxpe": AdaptivePolicy(build_maxpe(MulticastGroup(traces, labels)).pe),
+              "maxct": AdaptivePolicy(traces[ref])}
+    rows = {(row["receiver"], row["scheme"]): row
+            for row in run_scenario(scenario, engine="montecarlo")}
+    for scheme, policy in shared.items():
+        for k, label in enumerate(labels):
+            seeded = "anc" if scheme == "maxct" and k == ref else scheme
+            seed = _cell_seed(scenario.seed, 7.0, seeded, label)
+            config = SimConfig(trials=30, seed=np.random.SeedSequence(seed),
+                               params=params, decoding=scenario.decoding,
+                               start_slot=scenario.start_slot)
+            alone = run_single(config, traces[k], policy)
+            assert rows[str(label), scheme] == _mc_summary_row(label, scheme, 7.0, alone)
+    label = str(labels[ref])
+    assert rows[label, "maxct"] == dict(rows[label, "anc"], scheme="maxct")
 
 
 def test_maxct_alone_gives_the_full_runs_maxct_rows():
@@ -173,8 +204,8 @@ def test_montecarlo_cell_with_a_trial_out_of_rounds_is_na():
 
 
 def test_montecarlo_virtual_failure_writes_one_row_per_cell(tmp_path):
-    # At 10 dB a V-MaxPe anc trial meets a window no batch covers after the
-    # multicast rows are written; that cell alone becomes NA.
+    # At 10 dB a V-MaxPe anc trial meets a window no batch covers; that
+    # cell alone becomes NA, and every other cell keeps its one row.
     rows = run_scenario(point("geo-iv-defaults.yaml", 10.0, trials=50),
                         engine="montecarlo")
     keys = cell_keys(rows)
