@@ -3,9 +3,11 @@
 A generation is a block of source packets coded together.  The sender
 emits random linear combinations; a receiver eliminates them into reduced
 row-echelon form and can reconstruct the sources exactly once it has
-collected a full-rank set.  `Span` is that elimination on its own: a
-receiver that only needs its rank feeds it coefficient vectors, and
+collected a full-rank set.  `Span` is that elimination on its own, and
 `Generation` feeds it coefficients and payload as one row.
+`absorb_batch` runs the same elimination for many rank-only spans at
+once, one vector each; it is the simulator's receivers' path, and
+`Span` is its reference.
 """
 
 from __future__ import annotations
@@ -168,3 +170,29 @@ class Generation(Span):
             return None
         order = np.argsort(self._pivots[: self.size])
         return self._pay[order].copy()
+
+
+def absorb_batch(field: GF2m, rows: np.ndarray, lanes, vectors: np.ndarray) -> np.ndarray:
+    """Absorb `vectors[j]` into span `lanes[j]` of a batch, every j at once.
+
+    `rows` holds spans over n coefficients, shape (..., n, n), in reduced
+    echelon form indexed by pivot: row p holds the vector whose pivot is
+    column p, or zeros if there is none.  `lanes` is a tuple of index
+    arrays into the leading axes that names each span at most once;
+    `vectors` is (lanes, n).  `rows` is updated in place, step for step as
+    `Span.absorb` would; returns for each vector whether it was
+    innovative (its span's rank increased by one).
+    """
+    r = rows[lanes]
+    # every factor is read from the vector as received, as in Span.absorb
+    v = vectors ^ np.bitwise_xor.reduce(field.mul(vectors[:, :, None], r), axis=1)
+    innovative = v.any(axis=1)
+    if innovative.any():
+        r, v = r[innovative], v[innovative]
+        at = np.arange(v.shape[0])
+        piv = np.argmax(v != 0, axis=1)
+        v = field.mul(field.inv(v[at, piv])[:, None], v)
+        r ^= field.mul(r[at, :, piv][:, :, None], v[:, None, :])
+        r[at, piv] = v
+        rows[tuple(a[innovative] for a in lanes)] = r
+    return innovative

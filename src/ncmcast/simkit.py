@@ -14,8 +14,11 @@ Decoding is either idealized (every received packet is one degree of
 freedom) or real random linear coding over a configured field, where
 dependent combinations waste receptions.  A coded receiver completes
 when its coefficient vectors reach full rank, so it tracks only their
-span (`rlnc.Span`); payloads play no part, and only `rlnc.Generation`
-codes them.
+span; payloads play no part.  The spans of every trial and receiver sit
+in one array, and each round eliminates packet k of every trial at once,
+for each receiver that got it and is short of full rank, in one batched
+step (`rlnc.absorb_batch`).  `rlnc.Span` is that step's reference and
+`rlnc.Generation`'s base; only `Generation` codes payloads.
 
 One kernel runs every trial of a run together, one round at a time:
 each round it reads every active trial's batch from the policy's table,
@@ -41,7 +44,7 @@ import numpy as np
 
 from .completion import InfeasibleWindowError, ModelParams, _pe_array
 from .gf import FieldSpec, field_for
-from .rlnc import Span
+from .rlnc import absorb_batch
 from .virtualize import MulticastGroup
 
 DRAW_BLOCK = 1 << 16  # most uniform draws per block of trials in one round
@@ -203,8 +206,8 @@ def _kernel(args) -> _Outcome:
         shared, rngs = np.random.default_rng(seeds), None
     else:
         shared, rngs = None, [_trial_rngs(s) for s in seeds]
-    if field is not None:
-        spans = [[Span(field, dof) for _ in range(n_rx)] for _ in range(trials)]
+    if field is not None:  # every trial's receivers' spans, indexed by pivot
+        rows = np.zeros((trials, n_rx, dof, dof), dtype=field.dtype)
     out = _Outcome.start(trials, n_rx, dof)
     if keep_timeline:
         for i, rx in np.ndindex(trials, n_rx):
@@ -237,15 +240,15 @@ def _kernel(args) -> _Outcome:
                 remaining[members] = np.maximum(
                     remaining[members] - np.add.reduceat(survive, first, axis=0), 0)
                 continue
-            for i, n, f in zip(members, nb, first):
-                coefs = field.random_symbols(rngs[i][1], (n, dof))
-                for rx in np.flatnonzero(live[i]):
-                    span = spans[i][rx]
-                    for k in np.flatnonzero(survive[f:f + n, rx]):
-                        span.absorb(coefs[k])
-                        if span.is_complete:
-                            break
-                    remaining[i, rx] = dof - span.rank
+            coefs = np.concatenate([field.random_symbols(rngs[i][1], (n, dof))
+                                    for i, n in zip(members, nb)])
+            for k in range(int(nb.max())):  # packet k of every trial at once
+                has = np.flatnonzero(nb > k)
+                j, rx = np.nonzero(survive[first[has] + k]
+                                   & (remaining[members[has]] > 0))
+                i = members[has[j]]
+                new = absorb_batch(field, rows, (i, rx), coefs[first[has[j]] + k])
+                remaining[i[new], rx[new]] -= 1
         t[active] += batch * params.t_p + params.t_w
         sent[active] += batch
         slot[active] = (slot[active] + batch + params.ack_slot_advance) % tau

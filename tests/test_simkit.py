@@ -432,3 +432,38 @@ class TestKernel:
         monkeypatch.setattr(simkit, "DRAW_BLOCK", block)
         assert outcomes() == default
         assert default[1] == (21, 2)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_rlnc_records_ignore_draw_block(self, monkeypatch, block):
+        """The batched elimination runs per draw block: splitting a round's
+        trials into other blocks keeps every record of a small field."""
+        group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
+                            [0.2, 0.2, 0.6, 0.1]])
+        cfg = SimConfig(trials=80, seed=35, params=PARAMS, decoding=FieldSpec(4),
+                        record_trials=True)
+        default = run_multicast(cfg, group, maxpe_policy(group)).records
+        monkeypatch.setattr(simkit, "DRAW_BLOCK", block)
+        assert run_multicast(cfg, group, maxpe_policy(group)).records == default
+
+    @pytest.mark.parametrize("alphabet", ["uniform", "0-1-top"])
+    def test_large_field_records_equal_per_trial_loop(self, monkeypatch, alphabet):
+        """The uint16 symbols of GF(2^16) go through the batched elimination
+        with every record equal to the one-trial-at-a-time loop's.  Uniform
+        draws are almost never dependent, so a second run draws every
+        coefficient from {0, 1, q - 1}, on both sides, to make them common."""
+        if alphabet != "uniform":
+            field = field_for(FieldSpec(16))
+            symbols = np.array([0, 1, field.q - 1], dtype=field.dtype)
+            monkeypatch.setattr(field, "random_symbols",
+                                lambda rng, shape: symbols[rng.integers(0, 3, size=shape)])
+        rows = [[0.1, 0.3, 0.2, 0.05, 0.5], [0.4, 0.2, 0.3, 0.5, 0.1],
+                [0.2, 0.2, 0.6, 0.1, 0.3]]
+        group = make_group(rows)
+        policy = maxpe_policy(group)
+        config = SimConfig(trials=50, seed=37, params=PARAMS, decoding=FieldSpec(16),
+                           record_trials=True)
+        want = per_trial_records(config, np.vstack(rows), policy)
+        run = run_multicast(config, group, policy)
+        assert [(r.trial, group.labels.index(r.receiver), r.completion_time,
+                 r.packets_sent, r.rounds, r.completed, r.dof_timeline)
+                for r in run.records] == want
