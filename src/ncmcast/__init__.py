@@ -30,13 +30,8 @@ from .completion import (
 from .gf import FieldSpec, GF2m
 from .rlnc import CodedPacket, Generation
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
-from .simkit import SimConfig, SimSummary, run_multicast, run_single
-from .virtualize import (
-    MulticastGroup,
-    VirtualChannel,
-    build_maxct,
-    build_maxpe,
-)
+from .simkit import SimConfig, SimSummary, run_single
+from .virtualize import MulticastGroup, build_maxpe
 
 __version__ = "0.1.0"
 
@@ -60,17 +55,14 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "StateParams",
-    "VirtualChannel",
     "anc_batch_size",
     "batch_distribution",
     "bit_error_prob",
-    "build_maxct",
     "build_maxpe",
     "erasure_prob",
     "generate_trace",
     "load_scenario",
     "low_height_building_default",
-    "run_multicast",
     "run_single",
     "save_scenario",
     "to_erasure_trace",

@@ -248,13 +248,16 @@ def _erfc(a):
     return out.reshape(a.shape)[()]
 
 
+MODULATIONS = ("bpsk", "qpsk")  # names taken in either case
+
+
 def bit_error_prob(gain_db, eb_n0_db, modulation: str = "bpsk"):
     """Per-bit error probability at the given gain and Eb/N0.
 
     BPSK: Q(sqrt(2*snr)) with snr = |h|^2 * Eb/N0 linear; QPSK is
     identical per bit.  Accepts scalars or arrays.
     """
-    if modulation.lower() not in ("bpsk", "qpsk"):
+    if modulation.lower() not in MODULATIONS:
         raise ValueError(f"unsupported modulation {modulation!r}")
     gain_db = np.asarray(gain_db, dtype=float)
     eb_n0_db = np.asarray(eb_n0_db, dtype=float)

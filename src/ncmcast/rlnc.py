@@ -172,13 +172,14 @@ class Generation(Span):
         return self._pay[order].copy()
 
 
-def absorb_batch(field: GF2m, rows: np.ndarray, lanes, vectors: np.ndarray) -> np.ndarray:
+def absorb_batch(field: GF2m, rows: np.ndarray, lanes: np.ndarray,
+                 vectors: np.ndarray) -> np.ndarray:
     """Absorb `vectors[j]` into span `lanes[j]` of a batch, every j at once.
 
-    `rows` holds spans over n coefficients, shape (..., n, n), in reduced
-    echelon form indexed by pivot: row p holds the vector whose pivot is
-    column p, or zeros if there is none.  `lanes` is a tuple of index
-    arrays into the leading axes that names each span at most once;
+    `rows` holds spans over n coefficients, shape (spans, n, n), in
+    reduced echelon form indexed by pivot: row p holds the vector whose
+    pivot is column p, or zeros if there is none.  `lanes` is an index
+    array into the first axis that names each span at most once;
     `vectors` is (lanes, n).  `rows` is updated in place, step for step as
     `Span.absorb` would; returns for each vector whether it was
     innovative (its span's rank increased by one).
@@ -194,5 +195,5 @@ def absorb_batch(field: GF2m, rows: np.ndarray, lanes, vectors: np.ndarray) -> n
         v = field.mul(field.inv(v[at, piv])[:, None], v)
         r ^= field.mul(r[at, :, piv][:, :, None], v[:, None, :])
         r[at, piv] = v
-        rows[tuple(a[innovative] for a in lanes)] = r
+        rows[lanes[innovative]] = r
     return innovative

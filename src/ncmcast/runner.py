@@ -6,12 +6,12 @@ trace and the policy that sizes its batches.  Each engine answers each
 distinct question once and writes one row per cell, so the V-MaxCT
 cells, which ask their reference receiver's own questions, are that
 receiver's rows in both engines.  A receiver's cell under a virtual
-scheme asks its own trace under the shared policy, so every cell is
-receiver-local; `simkit.run_multicast` gives the shared sender's
-totals.  Cells whose model is infeasible (a trace too erased to cover
-the block within the batch cap) are flagged with NA values and the
-sweep continues.  So are Monte Carlo cells where any trial ran out of
-rounds, since a mean over the trials that completed is biased low.
+scheme asks its own trace under the shared policy, so every cell is one
+receiver, and each Monte Carlo answer is one `simkit.run_single`.  Cells
+whose model is infeasible (a trace too erased to cover the block within
+the batch cap) are flagged with NA values and the sweep continues.  So
+are Monte Carlo cells where any trial ran out of rounds, since a mean
+over the trials that completed is biased low.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class _Point:
             self.solved = {(k, k): expected_delay_packets(
                 self.traces[k], params, own[k], scenario.start_slot) for k in own}
         if "maxpe" in schemes:
-            self.traces["maxpe"] = build_maxpe(group).pe
+            self.traces["maxpe"] = build_maxpe(group)
             self.policies["maxpe"] = AdaptivePolicy(self.traces["maxpe"])
         ref = None
         if "maxct" in schemes:

@@ -16,10 +16,12 @@ import yaml
 
 from .channel import (
     LmsParams,
+    MODULATIONS,
     STATE_NAMES,
     StateParams,
     low_height_building_default,
 )
+from .simkit import DECODINGS
 
 SCHEMES = ("nc", "anc", "maxpe", "maxct")
 
@@ -69,6 +71,12 @@ class Scenario:
             raise ScenarioError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes:
             raise ScenarioError("schemes must be nonempty")
+        if str(self.modulation).lower() not in MODULATIONS:
+            raise ScenarioError(f"unknown modulation {self.modulation!r}, "
+                                f"expected one of {list(MODULATIONS)}")
+        if self.decoding not in DECODINGS:
+            raise ScenarioError(f"unknown decoding {self.decoding!r}, "
+                                f"expected one of {list(DECODINGS)}")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
         if self.seed < 0:

@@ -154,7 +154,7 @@ def _check_maxpe_pointwise() -> str:
         for _ in range(6)
     ]
     group = MulticastGroup(traces)
-    virtual = build_maxpe(group).pe.pe
+    virtual = build_maxpe(group).pe
     stacked = np.vstack([t.pe for t in traces])
     if not np.array_equal(virtual, stacked.max(axis=0)):
         raise AssertionError("virtual trace is not the per-slot maximum")

@@ -1,31 +1,28 @@
 """Monte Carlo discrete-event simulation of batched coded transmission.
 
-Every run is one question: a sender sizes each batch from a policy's
-table at the largest outstanding deficit in a group of receivers, and
-each receiver loses packets on its own erasure trace, with lossless
-round-trip acknowledgments.  A single receiver is a group of one.  The
-caller hands in the policy (a receiver's own, the non-adaptive one, or
-one shared by the group), so the simulator names no scheme.  Every cell
-of the runner is a `run_single`, a receiver under a virtual scheme's
-shared policy included; `run_multicast` drives one sender for the whole
-group and gives its totals.  A receiver's clock stops at the end of the
-round that completes it.
+Every run is one question: one receiver loses packets on its erasure
+trace while a sender sizes each batch from a policy's table at the
+receiver's outstanding deficit, with lossless round-trip
+acknowledgments.  The caller hands in the policy (the receiver's own,
+the non-adaptive one, or one a virtual scheme shares across the group),
+so the simulator names no scheme; every cell of the runner is a
+`run_single`.  The receiver's clock stops at the end of the round that
+completes it.
 Decoding is either idealized (every received packet is one degree of
 freedom) or real random linear coding over a configured field, where
 dependent combinations waste receptions.  A coded receiver completes
 when its coefficient vectors reach full rank, so it tracks only their
-span; payloads play no part.  The spans of every trial and receiver sit
-in one array, and each round eliminates packet k of every trial at once,
-for each receiver that got it and is short of full rank, in one batched
-step (`rlnc.absorb_batch`).  `rlnc.Span` is that step's reference and
+span; payloads play no part.  The spans of every trial sit in one
+array, and each round eliminates packet k of every trial that got it
+and is short of full rank at once, in one batched step
+(`rlnc.absorb_batch`).  `rlnc.Span` is that step's reference and
 `rlnc.Generation`'s base; only `Generation` codes payloads.
 
 One kernel runs every trial of a run together, one round at a time:
 each round it reads every active trial's batch from the policy's table,
-taken once per run, and draws the round's erasures as one block of
-(packets, receivers) in trial order.  A trial raises only when it
-visits a window the table marks uncovered.  Which generators draw is
-the one choice left:
+taken once per run, and draws the round's erasures as one block in
+trial order.  A trial raises only when it visits a window the table
+marks uncovered.  Which generators draw is the one choice left:
 
 - idealized decoding without kept records draws from one generator for
   the whole run;
@@ -45,9 +42,9 @@ import numpy as np
 from .completion import InfeasibleWindowError, ModelParams, _pe_array
 from .gf import FieldSpec, field_for
 from .rlnc import absorb_batch
-from .virtualize import MulticastGroup
 
 DRAW_BLOCK = 1 << 16  # most uniform draws per block of trials in one round
+DECODINGS = {"ideal": None, "rlnc": FieldSpec(8)}  # decoder field by name
 
 
 @dataclass
@@ -76,19 +73,16 @@ class SimConfig:
         """Decoder field, or None for idealized decoding."""
         if isinstance(self.decoding, FieldSpec):
             return self.decoding
-        if self.decoding == "ideal":
-            return None
-        if self.decoding == "rlnc":
-            return FieldSpec(8)
-        raise ValueError(f"unknown decoding {self.decoding!r}")
+        if self.decoding not in DECODINGS:
+            raise ValueError(f"unknown decoding {self.decoding!r}")
+        return DECODINGS[self.decoding]
 
 
 @dataclass
 class TrialRecord:
-    """Outcome of one receiver in one trial."""
+    """Outcome of one trial."""
 
     trial: int
-    receiver: int
     completion_time: float
     packets_sent: int
     rounds: int
@@ -117,7 +111,7 @@ class StatSummary:
 
 @dataclass
 class SimSummary:
-    """Aggregated trial statistics for one receiver."""
+    """Aggregated trial statistics of one run."""
 
     n_trials: int
     n_completed: int
@@ -130,17 +124,6 @@ class SimSummary:
     records: list[TrialRecord] | None = None
 
 
-@dataclass
-class MulticastSummary:
-    """Per-receiver statistics plus sender-side totals."""
-
-    labels: list[int]
-    per_receiver: list[SimSummary]
-    sender_packets: StatSummary
-    sender_rounds: StatSummary
-    records: list[TrialRecord] | None = None
-
-
 def _as_seedseq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -149,10 +132,10 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
 
 @dataclass
 class _Outcome:
-    """Where each receiver of each trial ended; arrays of (trials, receivers).
+    """Where each trial ended; arrays of (trials,).
 
-    A receiver's clock, packets and rounds stop at the end of the round
-    that completes it, or at the last round when it never completes.
+    A trial's clock, packets and rounds stop at the end of the round that
+    completes it, or at the last round when it never completes.
     `timelines` holds the deficit after each of its rounds, if kept.
     """
 
@@ -163,12 +146,11 @@ class _Outcome:
     timelines: np.ndarray
 
     @classmethod
-    def start(cls, trials: int, n_rx: int, dof: int) -> "_Outcome":
-        shape = (trials, n_rx)
-        return cls(np.zeros(shape), np.zeros(shape, dtype=np.int64),
-                   np.zeros(shape, dtype=np.int64),
-                   np.full(shape, dof, dtype=np.int64),
-                   np.full(shape, None, dtype=object))
+    def start(cls, trials: int, dof: int) -> "_Outcome":
+        return cls(np.zeros(trials), np.zeros(trials, dtype=np.int64),
+                   np.zeros(trials, dtype=np.int64),
+                   np.full(trials, dof, dtype=np.int64),
+                   np.full(trials, None, dtype=object))
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -198,81 +180,73 @@ def _kernel(args) -> _Outcome:
     trial order, or one seed per trial, whose `_trial_rngs` pair draws
     that trial's share of each round just as a trial run on its own would.
     """
-    seeds, trials, pes, table, params, field_spec, max_rounds, start_slot, keep_timeline = args
-    n_rx, tau = pes.shape
-    dof = params.dof
+    seeds, trials, pe, table, params, field_spec, max_rounds, start_slot, keep_timeline = args
+    tau, dof = pe.size, params.dof
     field = None if field_spec is None else field_for(field_spec)
     if isinstance(seeds, np.random.SeedSequence):
         shared, rngs = np.random.default_rng(seeds), None
     else:
         shared, rngs = None, [_trial_rngs(s) for s in seeds]
-    if field is not None:  # every trial's receivers' spans, indexed by pivot
-        rows = np.zeros((trials, n_rx, dof, dof), dtype=field.dtype)
-    out = _Outcome.start(trials, n_rx, dof)
+    if field is not None:  # every trial's span, indexed by pivot
+        rows = np.zeros((trials, dof, dof), dtype=field.dtype)
+    out = _Outcome.start(trials, dof)
     if keep_timeline:
-        for i, rx in np.ndindex(trials, n_rx):
-            out.timelines[i, rx] = [dof]
+        for i in range(trials):
+            out.timelines[i] = [dof]
     remaining = out.remaining
     slot = np.full(trials, start_slot % tau, dtype=np.int64)
-    t = np.zeros(trials)
-    sent = np.zeros(trials, dtype=np.int64)
     for rounds in range(1, max_rounds + 1):
-        live = remaining > 0
-        active = np.flatnonzero(live.any(axis=1))
+        active = np.flatnonzero(remaining)
         if active.size == 0:
             break
-        deficit = remaining[active].max(axis=1)
+        deficit = remaining[active]
         batch = table[deficit - 1, slot[active]].astype(np.int64)
         if not batch.all():  # the first trial in an uncovered window
             i = int(np.argmin(batch))
             raise InfeasibleWindowError(int(slot[active[i]]), int(deficit[i]))
-        for a, b in _blocks(batch * n_rx):
+        for a, b in _blocks(batch):
             members, nb = active[a:b], batch[a:b]
-            first = np.cumsum(nb) - nb  # each trial's first packet row
+            first = np.cumsum(nb) - nb  # each trial's first packet
             slots = (np.repeat(slot[members] - first, nb) + np.arange(nb.sum())) % tau
             if shared is not None:
-                u = shared.random((slots.size, n_rx))
+                u = shared.random(slots.size)
             else:
-                u = np.concatenate([rngs[i][0].random((n, n_rx))
-                                    for i, n in zip(members, nb)])
-            survive = u >= pes[:, slots].T
+                u = np.concatenate([rngs[i][0].random(n) for i, n in zip(members, nb)])
+            survive = u >= pe[slots]
             if field is None:
                 remaining[members] = np.maximum(
-                    remaining[members] - np.add.reduceat(survive, first, axis=0), 0)
+                    remaining[members] - np.add.reduceat(survive, first), 0)
                 continue
             coefs = np.concatenate([field.random_symbols(rngs[i][1], (n, dof))
                                     for i, n in zip(members, nb)])
             for k in range(int(nb.max())):  # packet k of every trial at once
                 has = np.flatnonzero(nb > k)
-                j, rx = np.nonzero(survive[first[has] + k]
-                                   & (remaining[members[has]] > 0))
-                i = members[has[j]]
-                new = absorb_batch(field, rows, (i, rx), coefs[first[has[j]] + k])
-                remaining[i[new], rx[new]] -= 1
-        t[active] += batch * params.t_p + params.t_w
-        sent[active] += batch
+                j = has[survive[first[has] + k] & (remaining[members[has]] > 0)]
+                i = members[j]
+                new = absorb_batch(field, rows, i, coefs[first[j] + k])
+                remaining[i[new]] -= 1
+        out.delay[active] += batch * params.t_p + params.t_w
+        out.packets[active] += batch
+        out.rounds[active] = rounds
         slot[active] = (slot[active] + batch + params.ack_slot_advance) % tau
-        np.copyto(out.delay, t[:, None], where=live)
-        np.copyto(out.packets, sent[:, None], where=live)
-        out.rounds[live] = rounds
         if keep_timeline:
-            for i, rx in zip(*np.nonzero(live)):
-                out.timelines[i, rx].append(int(remaining[i, rx]))
+            for i in active:
+                out.timelines[i].append(int(remaining[i]))
     return out
 
 
 # -- one entry for every run ---------------------------------------------------
 
 
-def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
-    """Trials of a sender that sizes each batch from `policy`'s table at
-    the largest outstanding deficit, to receivers with erasure rows `pes`
-    (receivers, slots); RLNC decoding or kept records give each trial its
-    own generators, anything else shares one across the run."""
+def _simulate(config: SimConfig, pe: np.ndarray, policy) -> _Outcome:
+    """Trials of one receiver with erasure trace `pe`, each batch sized from
+    `policy`'s table at its outstanding deficit; RLNC decoding or kept
+    records give each trial its own generators, anything else shares one
+    across the run."""
     field_spec = config.field_spec
-    table = policy.table(config.params.dof, pes.shape[1])
-    seed = _as_seedseq(seed)
-    common = (pes, table, config.params, field_spec, config.max_rounds,
+    table = policy.table(config.params.dof, pe.size)
+    seed = _as_seedseq(config.seed)
+    common = (pe, table, config.params, field_spec, config.max_rounds,
               config.start_slot, config.record_trials)
     if field_spec is None and not config.record_trials:
         return _kernel((seed, config.trials) + common)
@@ -291,11 +265,26 @@ def _simulate(config: SimConfig, pes: np.ndarray, policy, seed) -> _Outcome:
                       for a in zip(*(vars(p).values() for p in parts))))
 
 
-def _summarize(dof: int, out: _Outcome, rx: int) -> SimSummary:
-    completed = out.remaining[:, rx] == 0
+def run_single(config: SimConfig, trace, policy) -> SimSummary:
+    """Simulate one receiver whose batches `policy` sizes."""
+    out = _simulate(config, _pe_array(trace), policy)
+    completed = out.remaining == 0
     n = completed.size
     n_done = int(completed.sum())
-    ok_delays = out.delay[completed, rx]
+    ok_delays = out.delay[completed]
+    records = None
+    if config.record_trials:
+        records = [
+            TrialRecord(
+                trial=i,
+                completion_time=float(out.delay[i]),
+                packets_sent=int(out.packets[i]),
+                rounds=int(out.rounds[i]),
+                completed=bool(completed[i]),
+                dof_timeline=out.timelines[i] or [],
+            )
+            for i in range(n)
+        ]
     return SimSummary(
         n_trials=n,
         n_completed=n_done,
@@ -303,59 +292,9 @@ def _summarize(dof: int, out: _Outcome, rx: int) -> SimSummary:
         failure_rate=(n - n_done) / n,
         delay=StatSummary.from_samples(ok_delays),
         throughput=StatSummary.from_samples(
-            dof / ok_delays if ok_delays.size else ok_delays
+            config.params.dof / ok_delays if ok_delays.size else ok_delays
         ),
-        packets=StatSummary.from_samples(out.packets[completed, rx]),
-        rounds=StatSummary.from_samples(out.rounds[completed, rx]),
-    )
-
-
-def _report(config: SimConfig, out: _Outcome, labels: list):
-    """Per-receiver summaries, and the trial records if they are kept."""
-    summaries = [_summarize(config.params.dof, out, rx)
-                 for rx in range(len(labels))]
-    if not config.record_trials:
-        return summaries, None
-    records = [
-        TrialRecord(
-            trial=i,
-            receiver=label,
-            completion_time=float(out.delay[i, rx]),
-            packets_sent=int(out.packets[i, rx]),
-            rounds=int(out.rounds[i, rx]),
-            completed=bool(out.remaining[i, rx] == 0),
-            dof_timeline=out.timelines[i, rx] or [],
-        )
-        for i in range(config.trials)
-        for rx, label in enumerate(labels)
-    ]
-    return summaries, records
-
-
-def run_single(config: SimConfig, trace, policy) -> SimSummary:
-    """Simulate one receiver whose batches `policy` sizes."""
-    pe = _pe_array(trace)
-    out = _simulate(config, pe[None, :], policy, config.seed)
-    summaries, records = _report(config, out, [0])
-    summaries[0].records = records
-    return summaries[0]
-
-
-def run_multicast(config: SimConfig, group: MulticastGroup,
-                  policy) -> MulticastSummary:
-    """Simulate one sender serving the whole group from `policy`'s table.
-
-    Each batch is sized for the largest outstanding deficit in the
-    group; the sender stops with the last receiver it completes.
-    """
-    labels = list(group.labels)
-    pes = np.vstack([_pe_array(tr) for tr in group.receivers])
-    out = _simulate(config, pes, policy, config.seed)
-    per_receiver, records = _report(config, out, labels)
-    return MulticastSummary(
-        labels=labels,
-        per_receiver=per_receiver,
-        sender_packets=StatSummary.from_samples(out.packets.max(axis=1)),
-        sender_rounds=StatSummary.from_samples(out.rounds.max(axis=1)),
+        packets=StatSummary.from_samples(out.packets[completed]),
+        rounds=StatSummary.from_samples(out.rounds[completed]),
         records=records,
     )

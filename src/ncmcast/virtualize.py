@@ -1,9 +1,10 @@
 """Virtual reference channels standing in for a whole multicast group.
 
 Two constructions: the per-slot worst erasure across all receivers
-(max-erasure), and the verbatim trace of the receiver with the largest
-expected completion time (max-completion-time).  The sender sizes the
-batches for every receiver in the group on the virtual trace.
+(max-erasure, `build_maxpe`), and the verbatim trace of the receiver
+with the largest expected completion time (max-completion-time, ranked
+by `maxct_reference` from each receiver's own solve).  The sender sizes
+the batches for every receiver in the group on the virtual trace.
 """
 
 from __future__ import annotations
@@ -13,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ErasureTrace
-from .completion import (
-    AdaptivePolicy,
-    InfeasibleModelError,
-    ModelParams,
-    expected_delay_packets,
-)
-
-MAXPE = "maxpe"
-MAXCT = "maxct"
+from .completion import InfeasibleModelError
 
 
 @dataclass
@@ -48,33 +41,16 @@ class MulticastGroup:
         elif len(self.labels) != len(self.receivers):
             raise ValueError("labels must match receivers one-to-one")
 
-    def __len__(self):
-        return len(self.receivers)
 
-    @property
-    def trace_length(self) -> int:
-        return len(self.receivers[0])
-
-
-@dataclass
-class VirtualChannel:
-    """A single reference trace representing the whole group."""
-
-    pe: ErasureTrace
-    scheme: str
-    reference_receiver: int | None = None
-
-
-def build_maxpe(group: MulticastGroup) -> VirtualChannel:
-    """Virtual channel of per-slot maximum erasure across the group."""
+def build_maxpe(group: MulticastGroup) -> ErasureTrace:
+    """Virtual trace of per-slot maximum erasure across the group."""
     stacked = np.vstack([r.pe for r in group.receivers])
     first = group.receivers[0]
-    pe = ErasureTrace(
+    return ErasureTrace(
         stacked.max(axis=0),
         eb_n0_db=first.eb_n0_db,
         bits_per_packet=first.bits_per_packet,
     )
-    return VirtualChannel(pe=pe, scheme=MAXPE, reference_receiver=None)
 
 
 def maxct_reference(labels: list, own: list) -> int:
@@ -95,19 +71,3 @@ def maxct_reference(labels: list, own: list) -> int:
             best_time = answer[0]
             best = int(k)
     return best
-
-
-def build_maxct(group: MulticastGroup, params: ModelParams,
-                start_slot: int = 0) -> VirtualChannel:
-    """Virtual channel of the receiver slowest to complete from `start_slot`."""
-    own = [expected_delay_packets(trace, params, AdaptivePolicy(trace), start_slot)
-           for trace in group.receivers]
-    k = maxct_reference(group.labels, own)
-    trace = group.receivers[k]
-    pe = ErasureTrace(
-        trace.pe.copy(),
-        eb_n0_db=trace.eb_n0_db,
-        bits_per_packet=trace.bits_per_packet,
-        receiver_id=trace.receiver_id,
-    )
-    return VirtualChannel(pe=pe, scheme=MAXCT, reference_receiver=group.labels[k])

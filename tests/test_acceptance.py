@@ -17,15 +17,24 @@ from ncmcast.completion import (
     ModelParams,
     NonAdaptivePolicy,
     anc_batch_size,
+    expected_delay_packets,
 )
 from ncmcast.gf import FieldSpec
 from ncmcast.runner import build_traces, model_params
 from ncmcast.scenario import Scenario, load_scenario, save_scenario
 from ncmcast.simkit import SimConfig, run_single
-from ncmcast.virtualize import MulticastGroup, build_maxct, build_maxpe
+from ncmcast.virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GEO = ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388)
+
+
+def maxct_trace(group, params):
+    """The V-MaxCT reference receiver's trace, ranked as the runner ranks it."""
+    k = maxct_reference(group.labels, [
+        expected_delay_packets(trace, params, AdaptivePolicy(trace))
+        for trace in group.receivers])
+    return group.receivers[k]
 
 
 def announce(name, detail):
@@ -126,11 +135,11 @@ def test_criterion_4_virtualization_structure():
     )
     # (a) pointwise maximum, exactly
     virtual_pe = build_maxpe(group)
-    assert np.array_equal(virtual_pe.pe.pe, rows.max(axis=0))
+    assert np.array_equal(virtual_pe.pe, rows.max(axis=0))
     # (b) plan batches dominate per-receiver adaptive batches, never below
     # the outstanding block count
     tau = rows.shape[1]
-    plan_pe = AdaptivePolicy(virtual_pe.pe).table(GEO.dof, tau)
+    plan_pe = AdaptivePolicy(virtual_pe).table(GEO.dof, tau)
     for r in range(1, GEO.dof + 1):
         for j in range(tau):
             shared = plan_pe[r - 1, j]
@@ -139,15 +148,14 @@ def test_criterion_4_virtualization_structure():
                 assert shared >= own >= r
     # (c) reference receiver of the completion-time scheme reproduces its
     # own per-receiver adaptive delay
-    virtual_ct = build_maxct(group, GEO)
-    ref = group.receivers[virtual_ct.reference_receiver - 1]
+    ref = maxct_trace(group, GEO)
     own_delay = CompletionModel(ref, GEO, AdaptivePolicy(ref)).expected_time()
     shared_delay = CompletionModel(
-        ref, GEO, AdaptivePolicy(virtual_ct.pe)
+        ref, GEO, AdaptivePolicy(ref.pe.copy())
     ).expected_time()
     assert abs(shared_delay - own_delay) <= 1e-9 * abs(own_delay)
     # (d) worst-erasure plan batches dominate worst-receiver plan batches
-    plan_ct = AdaptivePolicy(virtual_ct.pe).table(GEO.dof, tau)
+    plan_ct = AdaptivePolicy(ref).table(GEO.dof, tau)
     assert plan_ct.min() >= 1  # every window covered
     assert np.all(plan_pe >= plan_ct)
     announce("virtualization-structure",
@@ -178,8 +186,8 @@ def test_criterion_5_trend_reproduction():
             for t in traces
         ]
         group = MulticastGroup(etraces, labels=scenario.receiver_labels())
-        shared_pe = AdaptivePolicy(build_maxpe(group).pe)
-        shared_ct = AdaptivePolicy(build_maxct(group, params).pe)
+        shared_pe = AdaptivePolicy(build_maxpe(group))
+        shared_ct = AdaptivePolicy(maxct_trace(group, params))
         for k, trace in enumerate(etraces):
             for key, policy in (
                 ("anc", AdaptivePolicy(trace)),
@@ -222,8 +230,8 @@ def test_criterion_6_adaptive_vs_nonadaptive_on_virtuals():
         ]
         group = MulticastGroup(etraces, labels=scenario.receiver_labels())
         virtuals = {
-            "maxpe": build_maxpe(group).pe,
-            "maxct": build_maxct(group, params).pe,
+            "maxpe": build_maxpe(group),
+            "maxct": maxct_trace(group, params),
         }
         for name, vpe in virtuals.items():
             delays["nc"][name].append(

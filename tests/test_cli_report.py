@@ -166,6 +166,20 @@ class TestRun:
         spath.write_text("receivers: 0\n")
         assert run_cli("run", "--scenario", spath, "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("engine", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("key, value", [("decoding", "rlcn"),
+                                            ("modulation", "qpsk7")])
+    def test_unknown_decoding_or_modulation_exits_two(self, small_scenario, tmp_path,
+                                                      capsys, engine, key, value):
+        _, spath = small_scenario
+        spath.write_text(spath.read_text().replace(
+            f"{key}: {'ideal' if key == 'decoding' else 'bpsk'}", f"{key}: {value}"))
+        out = tmp_path / "x.csv"
+        code = run_cli("run", "--scenario", spath, "--engine", engine, "--out", out)
+        assert code == 2
+        assert f"config error: unknown {key} '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("run", "--scenario", tmp_path / "none.yaml",
                        "--out", tmp_path / "x.csv") == 2

@@ -270,28 +270,26 @@ def test_absorb_batch_tracks_independent_spans(m, data):
     the rank, pivot columns and reduced rows of one `Span` per lane."""
     gf = GF2m(m)
     n = data.draw(st.integers(1, 6))
-    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    count = data.draw(st.integers(1, 9))
     symbol = st.one_of(st.just(0), st.sampled_from([1, gf.q - 1]),
                        st.integers(0, gf.q - 1))
     row = st.lists(symbol, min_size=n, max_size=n)
     # a small pool offered again and again makes repeats and dependence common
     pool = data.draw(st.lists(row, min_size=1, max_size=3))
     vector = st.one_of(row, st.just([0] * n), st.sampled_from(pool))
-    lanes = list(np.ndindex(shape))
-    spans = [Span(gf, n) for _ in lanes]
-    rows = np.zeros(shape + (n, n), dtype=gf.dtype)
-    rank = np.zeros(shape, dtype=np.int64)  # counted from the innovative flags
+    spans = [Span(gf, n) for _ in range(count)]
+    rows = np.zeros((count, n, n), dtype=gf.dtype)
+    rank = np.zeros(count, dtype=np.int64)  # counted from the innovative flags
     # up to 3n steps, so lanes are offered vectors after full rank too
     for _ in range(data.draw(st.integers(1, 3 * n))):
-        offered = [k for k in range(len(lanes)) if data.draw(st.booleans())]
+        offered = [k for k in range(count) if data.draw(st.booleans())]
         vectors = np.array([data.draw(vector) for _ in offered],
                            dtype=gf.dtype).reshape(len(offered), n)
-        at = tuple(np.array([lanes[k][d] for k in offered], dtype=np.int64)
-                   for d in range(2))
+        at = np.array(offered, dtype=np.int64)
         innovative = absorb_batch(gf, rows, at, vectors)
         assert innovative.tolist() == [spans[k].absorb(v) for k, v in zip(offered, vectors)]
         rank[at] += innovative
-        for lane, span in zip(lanes, spans):
+        for lane, span in enumerate(spans):
             pivots = np.flatnonzero(rows[lane].any(axis=1))
             assert rank[lane] == span.rank
             assert np.array_equal(pivots, np.sort(span.pivot_columns))

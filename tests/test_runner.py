@@ -13,7 +13,7 @@ from ncmcast.gf import FieldSpec
 from ncmcast.runner import (_cell_seed, _mc_summary_row, build_traces, model_params,
                             run_scenario, write_results_csv)
 from ncmcast.scenario import load_scenario
-from ncmcast.simkit import SimConfig, run_multicast, run_single
+from ncmcast.simkit import SimConfig, run_single
 from ncmcast.virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -52,12 +52,13 @@ MONTECARLO_CSV_SHA256 = {
                      "c7018e22a3f6209f842ddb78936e5003f88ae58f55f539665f7b8ad734dbd4e8"),
 }
 
-# SHA-256 of the GF(2^4) trial records of one anc receiver and one
-# three-receiver maxpe group.  Over so small a field about 100 of the
-# received packets are not innovative, so the gate covers the dependent
-# branch of elimination that the GF(2^8) hash above almost never reaches.
+# SHA-256 of the GF(2^4) trial records of one anc receiver, then of each
+# receiver of a three-receiver group run alone under the group's maxpe
+# policy.  Over so small a field about 100 of the received packets are not
+# innovative, so the gate covers the dependent branch of elimination that
+# the GF(2^8) hash above almost never reaches.
 SMALL_FIELD_RECORDS_SHA256 = \
-    "71d05acbdcbbf5ae028c63d89d2ee97257d4384e4a5a2ea30577c9589110412e"
+    "193f34635d54cd808cd9a337dbf9f30a60988af2887ad34186d29736f3378f7f"
 
 
 def point(name, ebn0, **changes):
@@ -155,7 +156,7 @@ def test_montecarlo_virtual_cells_are_receiver_local():
     ref = maxct_reference(labels, [
         expected_delay_packets(tr, params, AdaptivePolicy(tr), scenario.start_slot)
         for tr in traces])
-    shared = {"maxpe": AdaptivePolicy(build_maxpe(MulticastGroup(traces, labels)).pe),
+    shared = {"maxpe": AdaptivePolicy(build_maxpe(MulticastGroup(traces, labels))),
               "maxct": AdaptivePolicy(traces[ref])}
     rows = {(row["receiver"], row["scheme"]): row
             for row in run_scenario(scenario, engine="montecarlo")}
@@ -231,9 +232,10 @@ def test_small_field_trial_records_are_byte_identical():
                 params=ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388))
     group = MulticastGroup([ErasureTrace(p, eb_n0_db=7.0, bits_per_packet=100)
                             for p in (pe, np.roll(pe, 3), 0.5 * pe)])
-    shared = AdaptivePolicy(build_maxpe(group).pe)
-    records = (run_single(SimConfig(**base), pe, AdaptivePolicy(pe)).records
-               + run_multicast(SimConfig(**base), group, shared).records)
+    shared = AdaptivePolicy(build_maxpe(group))
+    records = run_single(SimConfig(**base), pe, AdaptivePolicy(pe)).records
+    for trace in group.receivers:
+        records += run_single(SimConfig(**base), trace, shared).records
     text = "".join(f"{r.completion_time!r},{r.packets_sent},{r.rounds},"
                    f"{r.completed},{r.dof_timeline}\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FIELD_RECORDS_SHA256

@@ -63,6 +63,23 @@ def test_validation_errors():
         Scenario(packet_time_s=0.0)
 
 
+@pytest.mark.parametrize("key, value", [("decoding", "rlcn"), ("decoding", "gf256"),
+                                        ("modulation", "qpsk7"), ("modulation", 5)])
+def test_unknown_decoding_or_modulation_rejected_on_load(tmp_path, key, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"{key}: {value}\n")
+    with pytest.raises(ScenarioError, match=f"unknown {key}"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key, value", [("decoding", "ideal"), ("decoding", "rlnc"),
+                                        ("modulation", "bpsk"), ("modulation", "QPSK")])
+def test_known_decoding_and_modulation_load(tmp_path, key, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"{key}: {value}\n")
+    assert getattr(load_scenario(path), key) == value
+
+
 def test_missing_file_raises_scenario_error(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "absent.yaml")

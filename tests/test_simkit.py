@@ -13,8 +13,8 @@ from ncmcast.completion import (
 )
 from ncmcast.gf import FieldSpec, field_for
 from ncmcast.rlnc import Span
-from ncmcast.simkit import SimConfig, run_multicast, run_single
-from ncmcast.virtualize import MulticastGroup, build_maxct, build_maxpe
+from ncmcast.simkit import SimConfig, run_single
+from ncmcast.virtualize import MulticastGroup, build_maxpe
 
 PARAMS = ModelParams(dof=4, t_p=1e-3, t_w=6e-3)
 
@@ -30,8 +30,8 @@ def make_group(pe_rows):
 
 
 def maxpe_policy(group):
-    """The shared sender's policy, sized on the group's max-erasure trace."""
-    return AdaptivePolicy(build_maxpe(group).pe)
+    """The shared policy, sized on the group's max-erasure trace."""
+    return AdaptivePolicy(build_maxpe(group))
 
 
 class TestRunSingle:
@@ -170,15 +170,7 @@ class TestRlncDecoding:
 
 
 class TestMulticast:
-    def test_all_perfect_one_round_equal_delays(self):
-        group = make_group([np.zeros(5)] * 3)
-        cfg = SimConfig(trials=100, seed=16, params=PARAMS)
-        result = run_multicast(cfg, group, maxpe_policy(group))
-        expected = PARAMS.dof * PARAMS.t_p + PARAMS.t_w
-        for summary in result.per_receiver:
-            assert summary.delay.mean == pytest.approx(expected, abs=1e-15)
-            assert summary.rounds.mean == 1.0
-        assert result.sender_rounds.mean == 1.0
+    """Each receiver of a group run alone under the group's shared policy."""
 
     def test_perfect_receiver_single_round_boundary(self):
         # receiver 1 sees no erasures: under the shared plan it finishes in
@@ -186,104 +178,32 @@ class TestMulticast:
         # accrues in round quanta, so it pays the virtual batch length
         group = make_group([np.zeros(4), np.full(4, 0.5)])
         cfg = SimConfig(trials=400, seed=17, params=PARAMS)
-        result = run_multicast(cfg, group, maxpe_policy(group))
-        assert result.per_receiver[0].rounds.mean == 1.0
+        result = run_single(cfg, group.receivers[0], maxpe_policy(group))
+        assert result.rounds.mean == 1.0
         expected_round1 = (
             AdaptivePolicy(np.full(4, 0.5)).table(PARAMS.dof, 4)[-1, 0]
             * PARAMS.t_p + PARAMS.t_w
         )
-        assert result.per_receiver[0].delay.mean == pytest.approx(
-            expected_round1, abs=1e-15
-        )
-
-    def test_maxct_reference_delay_matches_own_anc(self):
-        rng = np.random.default_rng(18)
-        rows = [rng.random(8) * 0.25 for _ in range(3)]
-        rows.append(np.minimum(np.maximum.reduce(rows) + 0.35, 0.9))
-        group = make_group(rows)
-        virtual = build_maxct(group, PARAMS)
-        assert virtual.reference_receiver == 4
-        cfg = SimConfig(trials=30_000, seed=19, params=PARAMS)
-        result = run_multicast(cfg, group, AdaptivePolicy(virtual.pe))
-        ref = result.per_receiver[3]
-        own = run_single(
-            SimConfig(trials=30_000, seed=20, params=PARAMS),
-            group.receivers[3], AdaptivePolicy(group.receivers[3]),
-        )
-        z = abs(ref.delay.mean - own.delay.mean) / np.hypot(ref.delay.se,
-                                                            own.delay.se)
-        assert z <= 3.5
-
-    def test_reproducible(self):
-        group = make_group([[0.2, 0.3], [0.4, 0.1]])
-        cfg = dict(trials=300, seed=22, params=PARAMS, record_trials=True)
-        a = run_multicast(SimConfig(**cfg), group, maxpe_policy(group))
-        b = run_multicast(SimConfig(**cfg), group, maxpe_policy(group))
-        assert [r.completion_time for r in a.records] == [
-            r.completion_time for r in b.records
-        ]
+        assert result.delay.mean == pytest.approx(expected_round1, abs=1e-15)
 
     def test_rank_never_exceeds_block(self):
         group = make_group([[0.3, 0.2], [0.1, 0.4]])
         cfg = SimConfig(trials=200, seed=23, params=PARAMS,
                         decoding=FieldSpec(8), record_trials=True)
-        result = run_multicast(cfg, group, maxpe_policy(group))
-        for rec in result.records:
-            assert rec.completed
-            assert rec.packets_sent >= PARAMS.dof
-
-
-    @pytest.mark.parametrize("decoding", ["ideal", FieldSpec(8)])
-    def test_group_of_one_is_a_single_receiver(self, decoding):
-        pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
-        base = dict(trials=300, seed=27, params=PARAMS, decoding=decoding,
-                    record_trials=True)
-        group = make_group([pe])
-        multicast = run_multicast(SimConfig(**base), group, maxpe_policy(group))
-        single = run_single(SimConfig(**base), pe, AdaptivePolicy(pe))
-
-        def outcomes(records):
-            return [(r.trial, r.completion_time, r.packets_sent, r.rounds,
-                     r.completed, r.dof_timeline) for r in records]
-
-        assert outcomes(multicast.records) == outcomes(single.records)
-        assert multicast.sender_packets.mean == single.packets.mean
-
-    def test_grouped_group_of_one_is_a_single_receiver(self):
-        pe = np.array([0.3, 0.1, 0.45, 0.2, 0.05])
-        base = dict(trials=3000, seed=28, params=PARAMS)
-        group = make_group([pe])
-        multicast = run_multicast(SimConfig(**base), group, maxpe_policy(group))
-        single = run_single(SimConfig(**base), pe, AdaptivePolicy(pe))
-        (own,) = multicast.per_receiver
-        assert own.delay.mean == single.delay.mean
-        assert own.packets.mean == single.packets.mean
-        assert own.rounds.mean == single.rounds.mean
-
-    def test_grouped_and_per_trial_multicast_agree(self):
-        group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
-                            [0.2, 0.2, 0.6, 0.1]])
-        policy = maxpe_policy(group)
-        grouped = run_multicast(SimConfig(trials=30_000, seed=29, params=PARAMS),
-                                group, policy)
-        per_trial = run_multicast(
-            SimConfig(trials=6000, seed=30, params=PARAMS, record_trials=True),
-            group, policy,
-        )
-        pairs = [(g.delay, p.delay) for g, p in zip(grouped.per_receiver,
-                                                    per_trial.per_receiver)]
-        pairs.append((grouped.sender_packets, per_trial.sender_packets))
-        for a, b in pairs:
-            assert abs(a.mean - b.mean) / np.hypot(a.se, b.se) <= 3.5
+        for trace in group.receivers:
+            for rec in run_single(cfg, trace, maxpe_policy(group)).records:
+                assert rec.completed
+                assert rec.packets_sent >= PARAMS.dof
 
     def test_workers_do_not_change_rlnc_records(self):
         group = make_group([[0.25, 0.15, 0.35], [0.1, 0.4, 0.2]])
         base = dict(trials=60, seed=31, params=PARAMS,
                     decoding=FieldSpec(8), record_trials=True)
         policy = maxpe_policy(group)
-        serial = run_multicast(SimConfig(**base, workers=1), group, policy)
-        parallel = run_multicast(SimConfig(**base, workers=3), group, policy)
-        assert serial.records == parallel.records
+        for trace in group.receivers:
+            serial = run_single(SimConfig(**base, workers=1), trace, policy)
+            parallel = run_single(SimConfig(**base, workers=3), trace, policy)
+            assert serial.records == parallel.records
 
     @pytest.mark.parametrize(
         "decoding, workers",
@@ -296,9 +216,10 @@ class TestMulticast:
         group = make_group([np.r_[0.95, np.ones(7)], np.zeros(8)])
         cfg = SimConfig(trials=8, seed=32, params=PARAMS,
                         decoding=decoding, workers=workers)
-        with pytest.raises(InfeasibleWindowError) as err:
-            run_multicast(cfg, group, maxpe_policy(group))
-        assert (err.value.start_slot, err.value.remaining) == (0, 4)
+        for trace in group.receivers:
+            with pytest.raises(InfeasibleWindowError) as err:
+                run_single(cfg, trace, maxpe_policy(group))
+            assert (err.value.start_slot, err.value.remaining) == (0, 4)
 
 
 class TestDelayBands:
@@ -379,6 +300,12 @@ def per_trial_records(config, pes, policy):
     return records
 
 
+def records(summary):
+    """A run's records in `per_trial_records`' form, as receiver 0."""
+    return [(r.trial, 0, r.completion_time, r.packets_sent, r.rounds, r.completed,
+             r.dof_timeline) for r in summary.records]
+
+
 erasure = st.one_of(st.sampled_from([0.0, 1.0, 0.2, 0.5]), st.floats(0.0, 1.0))
 
 
@@ -390,25 +317,19 @@ class TestKernel:
            seed=st.integers(0, 2**32 - 1))
     def test_kept_records_equal_per_trial_loop(self, data, n_rx, tau, trials,
                                                decoding, shared, start_slot, seed):
+        # the receiver is rows[0]; a shared policy is sized on every row
         rows = [np.array(data.draw(st.lists(erasure, min_size=tau, max_size=tau)))
                 for _ in range(n_rx)]
-        group = make_group(rows)
-        policy = maxpe_policy(group) if shared else NonAdaptivePolicy()
+        policy = maxpe_policy(make_group(rows)) if shared else NonAdaptivePolicy()
         config = SimConfig(trials=trials, seed=seed, params=PARAMS, decoding=decoding,
                            start_slot=start_slot, max_rounds=30, record_trials=True)
         try:
-            want = per_trial_records(config, np.vstack(rows), policy)
+            want = per_trial_records(config, rows[0][None, :], policy)
         except InfeasibleWindowError:
             with pytest.raises(InfeasibleWindowError):
-                run_multicast(config, group, policy)
+                run_single(config, rows[0], policy)
             return
-        runs = [(run_multicast(config, group, policy), group.labels)]
-        if n_rx == 1:  # labelled receiver 0
-            runs.append((run_single(config, rows[0], policy), [0]))
-        for run, labels in runs:
-            assert [(r.trial, labels.index(r.receiver), r.completion_time,
-                     r.packets_sent, r.rounds, r.completed, r.dof_timeline)
-                    for r in run.records] == want
+        assert records(run_single(config, rows[0], policy)) == want
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_shared_generator_ignores_draw_block(self, monkeypatch, block):
@@ -420,12 +341,11 @@ class TestKernel:
 
         def outcomes():
             cfg = SimConfig(trials=500, seed=33, params=PARAMS)
-            run = run_multicast(cfg, group, maxpe_policy(group))
+            runs = [run_single(cfg, trace, maxpe_policy(group))
+                    for trace in group.receivers]
             with pytest.raises(InfeasibleWindowError) as err:
                 run_single(cfg, pe, AdaptivePolicy(pe))
-            return ([(s.delay, s.packets, s.rounds, s.n_failures)
-                     for s in run.per_receiver]
-                    + [run.sender_packets, run.sender_rounds],
+            return ([(s.delay, s.packets, s.rounds, s.n_failures) for s in runs],
                     (err.value.start_slot, err.value.remaining))
 
         default = outcomes()
@@ -441,9 +361,14 @@ class TestKernel:
                             [0.2, 0.2, 0.6, 0.1]])
         cfg = SimConfig(trials=80, seed=35, params=PARAMS, decoding=FieldSpec(4),
                         record_trials=True)
-        default = run_multicast(cfg, group, maxpe_policy(group)).records
+
+        def runs():
+            return [run_single(cfg, trace, maxpe_policy(group)).records
+                    for trace in group.receivers]
+
+        default = runs()
         monkeypatch.setattr(simkit, "DRAW_BLOCK", block)
-        assert run_multicast(cfg, group, maxpe_policy(group)).records == default
+        assert runs() == default
 
     @pytest.mark.parametrize("alphabet", ["uniform", "0-1-top"])
     def test_large_field_records_equal_per_trial_loop(self, monkeypatch, alphabet):
@@ -462,8 +387,6 @@ class TestKernel:
         policy = maxpe_policy(group)
         config = SimConfig(trials=50, seed=37, params=PARAMS, decoding=FieldSpec(16),
                            record_trials=True)
-        want = per_trial_records(config, np.vstack(rows), policy)
-        run = run_multicast(config, group, policy)
-        assert [(r.trial, group.labels.index(r.receiver), r.completion_time,
-                 r.packets_sent, r.rounds, r.completed, r.dof_timeline)
-                for r in run.records] == want
+        for row, trace in zip(rows, group.receivers):
+            want = per_trial_records(config, np.array([row]), policy)
+            assert records(run_single(config, trace, policy)) == want

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ncmcast.channel import ErasureTrace
-from ncmcast.completion import AdaptivePolicy, CompletionModel, ModelParams, anc_batch_size
-from ncmcast.completion import InfeasibleWindowError
-from ncmcast.virtualize import MulticastGroup, build_maxct, build_maxpe
+from ncmcast.completion import (AdaptivePolicy, CompletionModel, InfeasibleWindowError,
+                                ModelParams, anc_batch_size, expected_delay_packets)
+from ncmcast.virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 PARAMS = ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388)
 
@@ -16,6 +16,17 @@ def make_group(pe_rows, tau=None):
         for k, row in enumerate(pe_rows)
     ]
     return MulticastGroup(traces)
+
+
+def maxct_index(group, params=PARAMS):
+    """The V-MaxCT reference receiver's index, ranked as the runner ranks it."""
+    return maxct_reference(group.labels, [
+        expected_delay_packets(trace, params, AdaptivePolicy(trace))
+        for trace in group.receivers])
+
+
+def maxct_trace(group, params=PARAMS):
+    return group.receivers[maxct_index(group, params)]
 
 
 class TestGroup:
@@ -44,20 +55,19 @@ class TestMaxPe:
     def test_elementwise_maximum(self):
         group = make_group([[0.1, 0.4], [0.3, 0.2]])
         virtual = build_maxpe(group)
-        assert np.array_equal(virtual.pe.pe, [0.3, 0.4])
-        assert virtual.reference_receiver is None
-        assert virtual.scheme == "maxpe"
+        assert np.array_equal(virtual.pe, [0.3, 0.4])
+        assert (virtual.eb_n0_db, virtual.bits_per_packet) == (5.0, 100)
 
     def test_single_receiver_identity(self):
         group = make_group([[0.25, 0.5, 0.75]])
         virtual = build_maxpe(group)
-        assert np.array_equal(virtual.pe.pe, [0.25, 0.5, 0.75])
+        assert np.array_equal(virtual.pe, [0.25, 0.5, 0.75])
 
     def test_dominates_every_receiver_with_attained_max(self):
         rng = np.random.default_rng(0)
         rows = rng.random((10, 32))
         group = make_group(rows)
-        virtual = build_maxpe(group).pe.pe
+        virtual = build_maxpe(group).pe
         for row in rows:
             assert np.all(virtual >= row)
         stacked = np.vstack(rows)
@@ -67,9 +77,7 @@ class TestMaxPe:
 class TestMaxCt:
     def test_single_receiver_is_reference(self):
         group = make_group([[0.3, 0.1, 0.2, 0.25]])
-        virtual = build_maxct(group, PARAMS)
-        assert virtual.reference_receiver == 1
-        assert np.array_equal(virtual.pe.pe, group.receivers[0].pe)
+        assert maxct_index(group) == 0
 
     def test_dominating_receiver_selected(self):
         rng = np.random.default_rng(1)
@@ -77,19 +85,16 @@ class TestMaxCt:
         worst = np.maximum.reduce(rows) + 0.3  # strictly dominates all others
         rows.append(np.minimum(worst, 0.9))
         group = make_group(rows)
-        virtual = build_maxct(group, PARAMS)
-        assert virtual.reference_receiver == 10
-        assert np.array_equal(virtual.pe.pe, group.receivers[9].pe)
+        assert group.labels[maxct_index(group)] == 10
 
     def test_tie_breaks_to_smallest_label(self):
         group = make_group([[0.4, 0.2], [0.4, 0.2], [0.1, 0.1]])
-        virtual = build_maxct(group, PARAMS)
-        assert virtual.reference_receiver == 1
+        assert maxct_index(group) == 0
 
     def test_infeasible_receiver_names_label(self):
         group = make_group([[0.1, 0.1], [1.0, 1.0]])
         with pytest.raises(Exception) as err:
-            build_maxct(group, PARAMS)
+            maxct_index(group)
         assert "receiver 2" in str(err.value)
 
     def test_self_consistency_reference_delay_exact(self):
@@ -98,24 +103,22 @@ class TestMaxCt:
         rng = np.random.default_rng(2)
         rows = [rng.random(24) * 0.5 for _ in range(6)]
         group = make_group(rows)
-        virtual = build_maxct(group, PARAMS)
-        ref_trace = group.receivers[virtual.reference_receiver - 1]
+        ref_trace = maxct_trace(group)
         own = CompletionModel(ref_trace, PARAMS, AdaptivePolicy(ref_trace))
-        shared = CompletionModel(ref_trace, PARAMS, AdaptivePolicy(virtual.pe))
+        shared = CompletionModel(ref_trace, PARAMS, AdaptivePolicy(ref_trace.pe.copy()))
         a = own.expected_time()
         b = shared.expected_time()
         assert abs(a - b) <= 1e-9 * abs(a)
 
 
 def shared_table(virtual):
-    """The batches the sender sizes on a virtual channel for every receiver."""
-    return AdaptivePolicy(virtual.pe).table(PARAMS.dof, len(virtual.pe))
+    """The batches the sender sizes on a virtual trace for every receiver."""
+    return AdaptivePolicy(virtual).table(PARAMS.dof, len(virtual))
 
 
 def virtual_delay(virtual):
     """Adaptive expected completion time of the virtual receiver itself."""
-    return CompletionModel(virtual.pe, PARAMS,
-                           AdaptivePolicy(virtual.pe)).expected_time()
+    return CompletionModel(virtual, PARAMS, AdaptivePolicy(virtual)).expected_time()
 
 
 class TestPlan:
@@ -143,7 +146,7 @@ class TestPlan:
         rows = rng.random((6, 18)) * 0.7
         group = make_group(rows)
         pe_table = shared_table(build_maxpe(group))
-        ct_table = shared_table(build_maxct(group, PARAMS))
+        ct_table = shared_table(maxct_trace(group))
         assert ct_table.min() >= 1  # every window covered
         assert np.all(pe_table >= ct_table)
 
@@ -174,7 +177,7 @@ class TestDomination:
             rows = rng.random((4, 12)) * 0.7
             group = make_group(rows)
             virtual = build_maxpe(group)
-            v_model = CompletionModel(virtual.pe, PARAMS, AdaptivePolicy(virtual.pe))
+            v_model = CompletionModel(virtual, PARAMS, AdaptivePolicy(virtual))
             v_delay = v_model.expected_time()
             for trace in group.receivers:
                 own = CompletionModel(trace, PARAMS, AdaptivePolicy(trace))
@@ -192,7 +195,7 @@ class TestDomination:
             group = make_group(rows)
             virtual = build_maxpe(group)
             v_delay = CompletionModel(
-                virtual.pe, PARAMS, NonAdaptivePolicy()
+                virtual, PARAMS, NonAdaptivePolicy()
             ).expected_time()
             for trace in group.receivers:
                 own = CompletionModel(trace, PARAMS, NonAdaptivePolicy())
@@ -202,9 +205,9 @@ class TestDomination:
         rng = np.random.default_rng(8)
         rows = rng.random((5, 10)) * 0.6
         group = make_group(rows)
-        virtual = build_maxct(group, PARAMS)
+        virtual = maxct_trace(group)
         v_delay = CompletionModel(
-            virtual.pe, PARAMS, AdaptivePolicy(virtual.pe)
+            virtual, PARAMS, AdaptivePolicy(virtual)
         ).expected_time()
         per_receiver = [
             CompletionModel(t, PARAMS, AdaptivePolicy(t)).expected_time()
