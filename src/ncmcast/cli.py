@@ -12,6 +12,7 @@ cell infeasible, 4 report input empty or cells missing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -69,6 +70,13 @@ def cmd_gen_traces(scenario: Scenario, out_dir: str) -> int:
 
 def cmd_run(scenario: Scenario, engine: str, out_path: str,
             trials: int | None, workers: int) -> int:
+    # the file is written only after the sweep, which can take minutes:
+    # find an unwritable destination first
+    folder = Path(out_path).parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+        print(f"cannot write results: {folder} is not a writable directory",
+              file=sys.stderr)
+        return EXIT_CONFIG
     rows = runner.run_scenario(scenario, engine=engine, trials=trials,
                                workers=workers)
     produced = [r for r in rows if r["delay_s"] is not None]

@@ -329,17 +329,20 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
     Row 0 of each is the absorbed level.  A window the table leaves
     uncovered raises before any solve, at the first in level-major
-    order.  One fold gives the batch outcomes of every level, and each
-    level is one walk for all three right-hand sides.
+    order.  Level 1 is checked first from a one-row table, the full
+    table's first row, so a model uncovered there builds no other row.
+    One fold gives the batch outcomes of every level, and each level is
+    one walk for all three right-hand sides.
     """
     tau = pe.size
     dof = params.dof
     ack = params.ack_slot_advance
-    table = policy.table(dof, tau)
-    zeros = np.flatnonzero(table == 0)
-    if zeros.size:
-        level, slot = divmod(int(zeros[0]), tau)
-        raise InfeasibleWindowError(slot, level + 1)
+    for rows in (1, dof):
+        table = policy.table(rows, tau)
+        zeros = np.flatnonzero(table == 0)
+        if zeros.size:
+            level, slot = divmod(int(zeros[0]), tau)
+            raise InfeasibleWindowError(slot, level + 1)
     dists = _level_distributions(pe, table)
     T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)

@@ -184,6 +184,21 @@ class TestRun:
         assert run_cli("run", "--scenario", tmp_path / "none.yaml",
                        "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("engine", ["analytic", "montecarlo"])
+    def test_missing_out_directory_exits_two_before_the_sweep(
+            self, small_scenario, tmp_path, capsys, monkeypatch, engine):
+        _, spath = small_scenario
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli.runner, "run_scenario", sweep)
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli("run", "--scenario", spath, "--engine", engine, "--out", out)
+        assert code == 2
+        assert "cannot write results" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("option, value",
                              [("--seed", -5), ("--trials", 0), ("--workers", 0)])
     def test_bad_run_option_exits_two(self, small_scenario, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,31 +103,58 @@ def test_analytic_point_solves_each_own_channel_once(monkeypatch):
     assert len(calls) == 41
 
 
-def test_engines_share_one_plan_per_point(monkeypatch):
+@pytest.fixture()
+def sizing_tables(monkeypatch):
+    """Counts of the sizing tables built, by their number of rows."""
+    tables = Counter()
+
+    def counted(pe, dof, original=completion._sizing_table):
+        tables[dof] += 1
+        return original(pe, dof)
+
+    monkeypatch.setattr(completion, "_sizing_table", counted)
+    return tables
+
+
+def test_engines_share_one_plan_per_point(monkeypatch, sizing_tables):
     # one plan per point: the 10 own tables and the V-MaxPe table serve
     # both engines (the V-MaxCT sender reuses its reference's own table),
     # and the 10 own solves that rank maxct serve the analytic cells too.
-    # Monte Carlo simulates nc 10, anc 10, maxpe 10, the two V-MaxPe cells
-    # and maxct 9: the reference receiver's maxct cell and the V-MaxCT
-    # cells are the reference's own.
+    # Each sizing table is counted by its rows: an analytic solve checks
+    # a one-row table before the full one, Monte Carlo reads only full
+    # tables.  Monte Carlo simulates nc 10, anc 10, maxpe 10, the two
+    # V-MaxPe cells and maxct 9: the reference receiver's maxct cell and
+    # the V-MaxCT cells are the reference's own.
     calls = {}
-    for module, name in ((completion, "_expected_cost"),
-                         (completion, "_sizing_table"), (simkit, "_simulate")):
+    for module, name in ((completion, "_expected_cost"), (simkit, "_simulate")):
         def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
     scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
-    expected = {"analytic": (41, 11, 0), "montecarlo": (10, 11, 41),
-                "both": (41, 11, 41)}
+    expected = {"analytic": (41, {1: 11, 10: 11}, 0),
+                "montecarlo": (10, {1: 10, 10: 11}, 41),
+                "both": (41, {1: 11, 10: 11}, 41)}
     rows = {}
     for engine, counts in expected.items():
-        calls.update(_expected_cost=0, _sizing_table=0, _simulate=0)
+        calls.update(_expected_cost=0, _simulate=0)
+        sizing_tables.clear()
         rows[engine] = run_scenario(scenario, engine=engine)
-        assert (calls["_expected_cost"], calls["_sizing_table"],
+        assert (calls["_expected_cost"], dict(sizing_tables),
                 calls["_simulate"]) == counts
     assert rows["both"] == rows["analytic"] + rows["montecarlo"]
+
+
+def test_infeasible_models_stop_at_the_one_row_table(sizing_tables):
+    # geo-iv at 4 dB: every adaptive model is uncovered at level 1, so no
+    # full table is built; at 10 dB three of the 11 stop there
+    rows = run_scenario(point("geo-iv-defaults.yaml", 4.0))
+    assert dict(sizing_tables) == {1: 11}
+    assert len(rows) == 44 and all(row["delay_s"] is None for row in rows)
+    sizing_tables.clear()
+    run_scenario(point("geo-iv-defaults.yaml", 10.0))
+    assert dict(sizing_tables) == {1: 11, 10: 8}
 
 
 def test_vmaxct_rows_are_the_reference_receivers_own():
