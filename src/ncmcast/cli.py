@@ -68,8 +68,7 @@ def cmd_gen_traces(scenario: Scenario, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_run(scenario: Scenario, engine: str, out_path: str,
-            trials: int | None, workers: int) -> int:
+def cmd_run(scenario: Scenario, engine: str, out_path: str, workers: int) -> int:
     # the file is written only after the sweep, which can take minutes:
     # find an unwritable destination first
     folder = Path(out_path).parent
@@ -77,8 +76,7 @@ def cmd_run(scenario: Scenario, engine: str, out_path: str,
         print(f"cannot write results: {folder} is not a writable directory",
               file=sys.stderr)
         return EXIT_CONFIG
-    rows = runner.run_scenario(scenario, engine=engine, trials=trials,
-                               workers=workers)
+    rows = runner.run_scenario(scenario, engine=engine, workers=workers)
     produced = [r for r in rows if r["delay_s"] is not None]
     runner.write_results_csv(out_path, rows)
     n_na = len(rows) - len(produced)
@@ -170,6 +168,8 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:
             scenario = replace(scenario, seed=args.seed)
+        if getattr(args, "trials", None) is not None:
+            scenario = replace(scenario, trials=args.trials)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -177,8 +177,7 @@ def main(argv=None) -> int:
         return cmd_gen_traces(scenario, args.out)
     if args.command == "run":
         try:
-            return cmd_run(scenario, args.engine, args.out, args.trials,
-                           args.workers)
+            return cmd_run(scenario, args.engine, args.out, args.workers)
         except OSError as exc:
             print(f"cannot write results: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -107,34 +107,6 @@ def batch_distribution(pe_trace, start_slot: int, remaining: int,
     return v
 
 
-def batch_distribution_via_success_counts(pe_trace, start_slot: int,
-                                          remaining: int,
-                                          batch: int) -> np.ndarray:
-    """Same distribution through the success-count (Poisson binomial) route.
-
-    Kept as an independent computation for cross-checking the transition
-    fold above.
-    """
-    pe = _pe_array(pe_trace)
-    if remaining < 1:
-        raise ValueError("remaining must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    tau = pe.size
-    counts = np.zeros(batch + 1)
-    counts[0] = 1.0
-    for k in range(batch):
-        e = pe[(start_slot + k) % tau]
-        s = 1.0 - e
-        nxt = counts * e
-        nxt[1:] += counts[:-1] * s
-        counts = nxt
-    dist = np.zeros(remaining + 1)
-    left = np.maximum(remaining - np.arange(batch + 1), 0)
-    np.add.at(dist, left, counts)
-    return dist
-
-
 def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Batch outcome distributions of every deficit level, from one fold.
 

@@ -21,7 +21,7 @@ from .channel import (
     StateParams,
     low_height_building_default,
 )
-from .simkit import DECODINGS
+from .simkit import DECODINGS, MAX_TRIALS
 
 SCHEMES = ("nc", "anc", "maxpe", "maxct")
 
@@ -77,8 +77,8 @@ class Scenario:
         if self.decoding not in DECODINGS:
             raise ScenarioError(f"unknown decoding {self.decoding!r}, "
                                 f"expected one of {list(DECODINGS)}")
-        if self.trials < 1:
-            raise ScenarioError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ScenarioError(f"trials must be in [1, {MAX_TRIALS}]")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
         if self.trace_files is not None and len(self.trace_files) != self.receivers:

@@ -22,14 +22,19 @@ One kernel runs every trial of a run together, one round at a time:
 each round it reads every active trial's batch from the policy's table,
 taken once per run, and draws the round's erasures as one block in
 trial order.  A trial raises only when it visits a window the table
-marks uncovered.  Which generators draw is the one choice left:
+marks uncovered.  Which stream draws is the one choice left:
 
 - idealized decoding without kept records draws from one generator for
   the whole run;
-- RLNC decoding or kept records give each trial its own generators,
-  derived from the root seed by seed-sequence splitting, which draw
-  that trial's share of each round.  A trial then draws as it would run
-  alone, so distributing trials across workers never changes results.
+- RLNC decoding or kept records draw from counter-based streams: trial
+  i's n-th erasure uniform, and the coefficient vector of its n-th
+  packet, are the SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014)
+  at an injective counter built from (i, n[, coordinate]), under one of
+  two keys taken from the run's seed.  No generator is built per trial,
+  and every active trial of a round draws in one vectorized step; a
+  draw depends only on (seed, i, n), so a trial draws as it would run
+  alone, and neither the split of trials over workers nor `DRAW_BLOCK`
+  changes results.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ from .rlnc import absorb_batch
 
 DRAW_BLOCK = 1 << 16  # most uniform draws per block of trials in one round
 DECODINGS = {"ideal": None, "rlnc": FieldSpec(8)}  # decoder field by name
+# A stream counter holds the trial index above a trial's draw index of
+# _INDEX_BITS bits: the packet, or packet * dof + coordinate.
+_INDEX_BITS = 40
+MAX_TRIALS = 1 << (64 - _INDEX_BITS)
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, odd
 
 
 @dataclass
@@ -67,6 +77,15 @@ class SimConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be <= {MAX_TRIALS}")
+        # a batch at deficit r holds at most 64 r packets
+        packets = self.max_rounds * 64 * self.params.dof
+        width = 1 if self.field_spec is None else self.params.dof
+        if packets * width > 1 << _INDEX_BITS:
+            raise ValueError(f"max_rounds * 64 * dof = {packets} packets per "
+                             f"trial, {width} draws each, exceed 2^{_INDEX_BITS} "
+                             "stream counters")
 
     @property
     def field_spec(self) -> FieldSpec | None:
@@ -156,9 +175,49 @@ class _Outcome:
 # -- the kernel ----------------------------------------------------------------
 
 
-def _trial_rngs(trial_seed: np.random.SeedSequence):
-    erasure_ss, coding_ss = trial_seed.spawn(2)
-    return np.random.default_rng(erasure_ss), np.random.default_rng(coding_ss)
+def _splitmix64(key: int, counter) -> np.ndarray:
+    """Output `counter` (from 0) of the SplitMix64 generator seeded with
+    `key`: its finalizer at key + (counter + 1) * gamma, modulo 2^64.
+    Under one key, distinct counters give distinct outputs."""
+    z = np.asarray(counter, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64((key + _GAMMA) % 2**64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _stream_keys(seed: np.random.SeedSequence) -> tuple[int, int]:
+    """The run's erasure key and coding key."""
+    erasure_key, coding_key = seed.generate_state(2, dtype=np.uint64)
+    return int(erasure_key), int(coding_key)
+
+
+def _counters(trial, index) -> np.ndarray:
+    """Stream counters: each trial index above its draw index."""
+    return (np.asarray(trial, dtype=np.uint64) << np.uint64(_INDEX_BITS)) \
+        | np.asarray(index, dtype=np.uint64)
+
+
+def _uniforms(key: int, trial, packet) -> np.ndarray:
+    """Erasure uniform in [0, 1) of each (trial, packet) pair: the top 53
+    bits of its hash, so exactly uniform on the multiples of 2^-53."""
+    return (_splitmix64(key, _counters(trial, packet)) >> np.uint64(11)) * 2.0**-53
+
+
+def _coefficients(key: int, field, trial, packet, dof: int) -> np.ndarray:
+    """Coefficient vector of each (trial, packet) pair, one row each;
+    coordinate c of packet n is draw n * dof + c of its trial."""
+    index = np.asarray(packet, dtype=np.uint64) * np.uint64(dof)
+    counters = _counters(trial, index)[:, None] + np.arange(dof, dtype=np.uint64)
+    return _symbols(_splitmix64(key, counters), field)
+
+
+def _symbols(hashes: np.ndarray, field) -> np.ndarray:
+    """Uniform GF(2^m) symbols: the top m bits of each hash."""
+    return (hashes >> np.uint64(64 - field.m)).astype(field.dtype)
 
 
 def _blocks(draws: np.ndarray):
@@ -176,17 +235,20 @@ def _blocks(draws: np.ndarray):
 def _kernel(args) -> _Outcome:
     """Every trial advanced together, one round at a time.
 
-    `seeds` is one seed, whose generator draws every trial's erasures in
-    trial order, or one seed per trial, whose `_trial_rngs` pair draws
-    that trial's share of each round just as a trial run on its own would.
+    With `offset` None, one generator on `seed` draws every trial's
+    erasures in trial order.  Otherwise trial i of this call is trial
+    `offset + i` of the run, and draws from the counter streams keyed by
+    `seed`, just as it would run on its own.
     """
-    seeds, trials, pe, table, params, field_spec, max_rounds, start_slot, keep_timeline = args
+    seed, offset, trials, pe, table, params, field_spec, max_rounds, start_slot, \
+        keep_timeline = args
     tau, dof = pe.size, params.dof
     field = None if field_spec is None else field_for(field_spec)
-    if isinstance(seeds, np.random.SeedSequence):
-        shared, rngs = np.random.default_rng(seeds), None
+    if offset is None:
+        shared = np.random.default_rng(seed)
     else:
-        shared, rngs = None, [_trial_rngs(s) for s in seeds]
+        shared = None
+        erasure_key, coding_key = _stream_keys(seed)
     if field is not None:  # every trial's span, indexed by pivot
         rows = np.zeros((trials, dof, dof), dtype=field.dtype)
     out = _Outcome.start(trials, dof)
@@ -207,18 +269,20 @@ def _kernel(args) -> _Outcome:
         for a, b in _blocks(batch):
             members, nb = active[a:b], batch[a:b]
             first = np.cumsum(nb) - nb  # each trial's first packet
-            slots = (np.repeat(slot[members] - first, nb) + np.arange(nb.sum())) % tau
+            step = np.arange(nb.sum()) - np.repeat(first, nb)  # within its batch
+            slots = (np.repeat(slot[members], nb) + step) % tau
             if shared is not None:
                 u = shared.random(slots.size)
             else:
-                u = np.concatenate([rngs[i][0].random(n) for i, n in zip(members, nb)])
+                trial = np.repeat(offset + members, nb)
+                packet = np.repeat(out.packets[members], nb) + step
+                u = _uniforms(erasure_key, trial, packet)
             survive = u >= pe[slots]
             if field is None:
                 remaining[members] = np.maximum(
                     remaining[members] - np.add.reduceat(survive, first), 0)
                 continue
-            coefs = np.concatenate([field.random_symbols(rngs[i][1], (n, dof))
-                                    for i, n in zip(members, nb)])
+            coefs = _coefficients(coding_key, field, trial, packet, dof)
             for k in range(int(nb.max())):  # packet k of every trial at once
                 has = np.flatnonzero(nb > k)
                 j = has[survive[first[has] + k] & (remaining[members[has]] > 0)]
@@ -241,22 +305,21 @@ def _kernel(args) -> _Outcome:
 def _simulate(config: SimConfig, pe: np.ndarray, policy) -> _Outcome:
     """Trials of one receiver with erasure trace `pe`, each batch sized from
     `policy`'s table at its outstanding deficit; RLNC decoding or kept
-    records give each trial its own generators, anything else shares one
-    across the run."""
+    records draw from per-trial counter streams, anything else from one
+    generator across the run."""
     field_spec = config.field_spec
     table = policy.table(config.params.dof, pe.size)
     seed = _as_seedseq(config.seed)
     common = (pe, table, config.params, field_spec, config.max_rounds,
               config.start_slot, config.record_trials)
     if field_spec is None and not config.record_trials:
-        return _kernel((seed, config.trials) + common)
-    seeds = seed.spawn(config.trials)
+        return _kernel((seed, None, config.trials) + common)
     if config.workers == 1:
-        return _kernel((seeds, config.trials) + common)
+        return _kernel((seed, 0, config.trials) + common)
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
 
     bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
-    tasks = [(seeds[a:b], b - a) + common
+    tasks = [(seed, a, b - a) + common
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         parts = list(pool.map(_kernel, tasks))

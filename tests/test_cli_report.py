@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncmcast import cli
+from ncmcast import cli, simkit
 from ncmcast.runner import (
     RESULT_FIELDS,
     read_results_csv,
@@ -200,11 +200,17 @@ class TestRun:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("option, value",
-                             [("--seed", -5), ("--trials", 0), ("--workers", 0)])
+                             [("--seed", -5), ("--trials", 0), ("--workers", 0),
+                              ("--trials", simkit.MAX_TRIALS + 1)])
     def test_bad_run_option_exits_two(self, small_scenario, tmp_path, capsys,
-                                      option, value):
+                                      monkeypatch, option, value):
         s, spath = small_scenario
         out = tmp_path / "x.csv"
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli.runner, "run_scenario", sweep)
         try:
             code = run_cli("run", "--scenario", spath, option, value, "--out", out)
         except SystemExit as exc:  # argparse rejects the value

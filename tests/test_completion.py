@@ -14,7 +14,6 @@ from ncmcast.completion import (
     NonAdaptivePolicy,
     anc_batch_size,
     batch_distribution,
-    batch_distribution_via_success_counts,
 )
 from ncmcast.simkit import SimConfig, run_single
 
@@ -32,6 +31,24 @@ def brute_force_distribution(pe, start, remaining, batch):
             prob *= (1.0 - pe[s]) if received else pe[s]
         left = max(remaining - sum(pattern), 0)
         dist[left] += prob
+    return dist
+
+
+def batch_distribution_via_success_counts(pe, start_slot, remaining, batch):
+    """`batch_distribution` through the success-count (Poisson binomial)
+    route, an independent computation of the transition fold."""
+    tau = pe.size
+    counts = np.zeros(batch + 1)
+    counts[0] = 1.0
+    for k in range(batch):
+        e = pe[(start_slot + k) % tau]
+        s = 1.0 - e
+        nxt = counts * e
+        nxt[1:] += counts[:-1] * s
+        counts = nxt
+    dist = np.zeros(remaining + 1)
+    left = np.maximum(remaining - np.arange(batch + 1), 0)
+    np.add.at(dist, left, counts)
     return dist
 
 

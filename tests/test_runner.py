@@ -41,14 +41,14 @@ FULL_SWEEP_SHA256 = {
 }
 
 # SHA-256 of Monte Carlo results CSVs of geo-trend-demo at 7.0 dB on the
-# scenario's seed: RLNC decoding on every scheme (generators per trial),
+# scenario's seed: RLNC decoding on every scheme (per-trial counter streams),
 # and nc/anc under idealized decoding (one generator per run, one receiver
 # at a time).  A change to the simulator must leave these bytes as they are.
 # Ideal maxpe/maxct cells are left out, so that a change in the order of
 # their draws, which the statistical tests cover, re-records no hash.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
-             "dbb35fa724e964cec77308efea2bbeda89042203ad6974ee0a8b812e59864413"),
+             "feb919d2d1d00181062f9a2a7024205c7d1f436be0acc118c42c2e5f431506d5"),
     "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
                      "c7018e22a3f6209f842ddb78936e5003f88ae58f55f539665f7b8ad734dbd4e8"),
 }
@@ -59,7 +59,7 @@ MONTECARLO_CSV_SHA256 = {
 # innovative, so the gate covers the dependent branch of elimination that
 # the GF(2^8) hash above almost never reaches.
 SMALL_FIELD_RECORDS_SHA256 = \
-    "193f34635d54cd808cd9a337dbf9f30a60988af2887ad34186d29736f3378f7f"
+    "fffb57babaef3ff7816fb8680d40e69444ed326eff3429e1e7261420a0cb99c6"
 
 
 def point(name, ebn0, **changes):

@@ -254,55 +254,50 @@ class TestDelayBands:
         assert min(gap1, gap2) > spread
 
 
-def per_trial_records(config, pes, policy):
+def per_trial_records(config, pe, policy):
     """The former one-trial-at-a-time loop, kept as the kernel's reference:
-    each trial runs alone to the end on its own `_trial_rngs` pair.
-    Returns (trial, receiver index, completion time, packets, rounds,
-    completed, dof timeline) per receiver per trial."""
-    n_rx, tau = pes.shape
+    each trial runs alone to the end, drawing its packets from the
+    counter streams one round at a time.  Returns (trial, completion
+    time, packets, rounds, completed, dof timeline) per trial."""
+    tau = pe.size
     params, dof = config.params, config.params.dof
     table = policy.table(dof, tau)
     field = None if config.field_spec is None else field_for(config.field_spec)
+    erasure_key, coding_key = simkit._stream_keys(np.random.SeedSequence(config.seed))
     records = []
-    for i, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.trials)):
-        erng, crng = simkit._trial_rngs(seed)
-        spans = [Span(field, dof) for _ in range(n_rx)] if field else None
-        remaining = np.full(n_rx, dof)
-        timelines = [[dof] for _ in range(n_rx)]
-        end = np.zeros((3, n_rx))  # delay, packets, rounds
+    for i in range(config.trials):
+        span = Span(field, dof) if field else None
+        remaining, timeline = dof, [dof]
         j, t, rounds, sent = config.start_slot % tau, 0.0, 0, 0
-        while remaining.any() and rounds < config.max_rounds:
-            live = remaining > 0
-            batch = int(table[remaining.max() - 1, j])
+        while remaining and rounds < config.max_rounds:
+            batch = int(table[remaining - 1, j])
             if batch == 0:
-                raise InfeasibleWindowError(j, int(remaining.max()))
+                raise InfeasibleWindowError(j, remaining)
+            packets = sent + np.arange(batch)
+            trial = np.full(batch, i)
             slots = (j + np.arange(batch)) % tau
-            survive = erng.random((batch, n_rx)) >= pes[:, slots].T
+            survive = simkit._uniforms(erasure_key, trial, packets) >= pe[slots]
             if field is None:
-                remaining = np.maximum(remaining - survive.sum(axis=0), 0)
+                remaining = max(remaining - int(survive.sum()), 0)
             else:
-                coefs = field.random_symbols(crng, (batch, dof))
-                for rx in np.flatnonzero(live):
-                    for k in np.flatnonzero(survive[:, rx]):
-                        spans[rx].absorb(coefs[k])
-                        if spans[rx].is_complete:
-                            break
-                    remaining[rx] = dof - spans[rx].rank
+                coefs = simkit._coefficients(coding_key, field, trial, packets, dof)
+                for k in np.flatnonzero(survive):
+                    span.absorb(coefs[k])
+                    if span.is_complete:
+                        break
+                remaining = dof - span.rank
             t += batch * params.t_p + params.t_w
             j = (j + batch + params.ack_slot_advance) % tau
             rounds += 1
             sent += batch
-            end[:, live] = np.array([[t], [sent], [rounds]])
-            for rx in np.flatnonzero(live):
-                timelines[rx].append(int(remaining[rx]))
-        records += [(i, rx, float(end[0, rx]), int(end[1, rx]), int(end[2, rx]),
-                     bool(remaining[rx] == 0), timelines[rx]) for rx in range(n_rx)]
+            timeline.append(remaining)
+        records.append((i, t, sent, rounds, remaining == 0, timeline))
     return records
 
 
 def records(summary):
-    """A run's records in `per_trial_records`' form, as receiver 0."""
-    return [(r.trial, 0, r.completion_time, r.packets_sent, r.rounds, r.completed,
+    """A run's records in `per_trial_records`' form."""
+    return [(r.trial, r.completion_time, r.packets_sent, r.rounds, r.completed,
              r.dof_timeline) for r in summary.records]
 
 
@@ -324,7 +319,7 @@ class TestKernel:
         config = SimConfig(trials=trials, seed=seed, params=PARAMS, decoding=decoding,
                            start_slot=start_slot, max_rounds=30, record_trials=True)
         try:
-            want = per_trial_records(config, rows[0][None, :], policy)
+            want = per_trial_records(config, rows[0], policy)
         except InfeasibleWindowError:
             with pytest.raises(InfeasibleWindowError):
                 run_single(config, rows[0], policy)
@@ -379,8 +374,8 @@ class TestKernel:
         if alphabet != "uniform":
             field = field_for(FieldSpec(16))
             symbols = np.array([0, 1, field.q - 1], dtype=field.dtype)
-            monkeypatch.setattr(field, "random_symbols",
-                                lambda rng, shape: symbols[rng.integers(0, 3, size=shape)])
+            monkeypatch.setattr(simkit, "_symbols",
+                                lambda hashes, field: symbols[hashes % np.uint64(3)])
         rows = [[0.1, 0.3, 0.2, 0.05, 0.5], [0.4, 0.2, 0.3, 0.5, 0.1],
                 [0.2, 0.2, 0.6, 0.1, 0.3]]
         group = make_group(rows)
@@ -388,5 +383,87 @@ class TestKernel:
         config = SimConfig(trials=50, seed=37, params=PARAMS, decoding=FieldSpec(16),
                            record_trials=True)
         for row, trace in zip(rows, group.receivers):
-            want = per_trial_records(config, np.array([row]), policy)
+            want = per_trial_records(config, np.array(row), policy)
             assert records(run_single(config, trace, policy)) == want
+
+
+def splitmix64_reference(key, counter):
+    """SplitMix64's output `counter` for seed `key`, in Python integers."""
+    mask = (1 << 64) - 1
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestStreams:
+    def test_mixer_matches_published_splitmix64_outputs(self):
+        assert simkit._splitmix64(1234567, np.arange(3)).tolist() == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.integers(0, 2**64 - 1),
+           counters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+    def test_mixer_matches_scalar_reference(self, key, counters):
+        got = simkit._splitmix64(key, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == [splitmix64_reference(key, c) for c in counters]
+
+    @settings(max_examples=25, deadline=None)
+    @given(trials=st.integers(1, 8), more=st.integers(0, 8),
+           spread=st.sampled_from([(1, None), (1, 1), (1, 7), (2, None), (3, None)]),
+           decoding=st.sampled_from(["ideal", FieldSpec(4)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trial_record_ignores_trial_count_workers_and_draw_block(
+            self, trials, more, spread, decoding, seed):
+        """Trial i draws only from (seed, i, packet): more trials after it,
+        another split over workers or another DRAW_BLOCK keep its record."""
+        workers, block = spread
+        pe = np.array([0.3, 0.1, 0.4, 0.2, 0.6])
+        policy = AdaptivePolicy(pe)
+        base = dict(seed=seed, params=PARAMS, decoding=decoding, record_trials=True)
+        want = run_single(SimConfig(trials=trials, **base), pe, policy).records
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(simkit, "DRAW_BLOCK", block)
+            got = run_single(SimConfig(trials=trials + more, workers=workers, **base),
+                             pe, policy).records
+        assert got[:trials] == want
+
+    def test_symbol_and_erasure_frequencies(self):
+        erasure_key, coding_key = simkit._stream_keys(np.random.SeedSequence(41))
+        trial, packet = np.divmod(np.arange(40_000), 200)
+        field = field_for(FieldSpec(4))
+        symbols = simkit._coefficients(coding_key, field, trial, packet, 4).ravel()
+        counts = np.bincount(symbols, minlength=field.q)
+        n, p = symbols.size, 1 / field.q
+        assert counts.size == field.q
+        assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
+        u = simkit._uniforms(erasure_key, trial, packet)
+        assert np.all((u >= 0) & (u < 1))  # pe = 0 always arrives, pe = 1 never
+        assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
+        arrived = np.mean(u >= 0.3)
+        assert abs(arrived - 0.7) <= 5 * np.sqrt(0.7 * 0.3 / u.size)
+
+    @pytest.mark.parametrize("decoding", ["ideal", FieldSpec(4)])
+    def test_fully_erased_trace_never_delivers(self, decoding):
+        # the per-trial streams' twin of test_failure_cap_counted_and_warned
+        cfg = SimConfig(trials=60, seed=42, params=PARAMS, decoding=decoding,
+                        max_rounds=5, record_trials=True)
+        summary = run_single(cfg, np.ones(3), NonAdaptivePolicy())
+        assert summary.n_completed == 0
+        assert all(r.dof_timeline == [PARAMS.dof] * 6 for r in summary.records)
+
+
+class TestCounterBounds:
+    def test_trial_count_beyond_the_counter_layout_rejected(self):
+        SimConfig(trials=simkit.MAX_TRIALS, seed=0, params=PARAMS)
+        with pytest.raises(ValueError, match="trials"):
+            SimConfig(trials=simkit.MAX_TRIALS + 1, seed=0, params=PARAMS)
+
+    @pytest.mark.parametrize("decoding, width", [("ideal", 1), ("rlnc", PARAMS.dof)])
+    def test_packet_count_beyond_the_counter_layout_rejected(self, decoding, width):
+        most = (1 << simkit._INDEX_BITS) // (64 * PARAMS.dof * width)
+        SimConfig(trials=1, seed=0, params=PARAMS, decoding=decoding, max_rounds=most)
+        with pytest.raises(ValueError, match="max_rounds"):
+            SimConfig(trials=1, seed=0, params=PARAMS, decoding=decoding,
+                      max_rounds=most + 1)
