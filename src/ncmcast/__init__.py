@@ -28,7 +28,6 @@ from .completion import (
     batch_distribution,
 )
 from .gf import FieldSpec, GF2m
-from .rlnc import CodedPacket, Generation
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
 from .simkit import SimConfig, SimSummary, run_single
 from .virtualize import MulticastGroup, build_maxpe
@@ -38,12 +37,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptivePolicy",
     "ChannelTrace",
-    "CodedPacket",
     "CompletionModel",
     "ErasureTrace",
     "FieldSpec",
     "GF2m",
-    "Generation",
     "InfeasibleModelError",
     "InfeasibleWindowError",
     "LmsParams",

@@ -170,19 +170,20 @@ def main(argv=None) -> int:
             scenario = replace(scenario, seed=args.seed)
         if getattr(args, "trials", None) is not None:
             scenario = replace(scenario, trials=args.trials)
+        # unusable trace files surface from runner.build_traces
+        if args.command == "gen-traces":
+            return cmd_gen_traces(scenario, args.out)
+        if args.command == "run":
+            try:
+                return cmd_run(scenario, args.engine, args.out, args.workers)
+            except OSError as exc:
+                print(f"cannot write results: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+        if args.command == "report":
+            return cmd_report(args.results, scenario, args.out)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "gen-traces":
-        return cmd_gen_traces(scenario, args.out)
-    if args.command == "run":
-        try:
-            return cmd_run(scenario, args.engine, args.out, args.workers)
-        except OSError as exc:
-            print(f"cannot write results: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    if args.command == "report":
-        return cmd_report(args.results, scenario, args.out)
     return EXIT_CONFIG
 
 

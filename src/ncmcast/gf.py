@@ -126,10 +126,6 @@ class GF2m:
         out = self._exp[(self.q - 1) - self._log[a]]
         return int(out) if out.ndim == 0 else out
 
-    def random_symbols(self, rng: np.random.Generator, shape):
-        """Uniform i.i.d. field symbols (zero included)."""
-        return rng.integers(0, self.q, size=shape, dtype=self.dtype)
-
     def __repr__(self):
         return f"GF2m(m={self.m}, q={self.q}, poly=0x{self.poly:X})"
 

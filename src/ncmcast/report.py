@@ -14,10 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .completion import InfeasibleModelError
 from .runner import VIRTUAL_LABELS
 from .scenario import Scenario
-from .virtualize import maxct_reference
 
 MS = 1000.0
 
@@ -135,16 +133,21 @@ def build_table_i(index: ResultIndex, labels: list[int],
 
 
 def _maxct_references(index: ResultIndex, labels: list[int]) -> dict[float, int | None]:
-    """Reference receiver per sweep point, ranked on the `anc` delays by
-    `virtualize.maxct_reference`; a point with an NA `anc` has none."""
+    """Reference receiver per sweep point: the one whose `anc` row the
+    V-MaxCT `anc` row repeats, the smallest label on an exact tie.  A
+    point whose V-MaxCT `anc` row is NA or missing has none."""
+    metrics = ("delay_s", "throughput_pps", "avg_packets", "se_delay")
     refs: dict[float, int | None] = {}
     for ebn0 in index.sweep:
-        delays = [index.value(label, "anc", ebn0, "delay_s") for label in labels]
-        own = [InfeasibleModelError() if d is None else (d, None) for d in delays]
-        try:
-            refs[ebn0] = labels[maxct_reference(labels, own)]
-        except InfeasibleModelError:
-            refs[ebn0] = None
+        virtual = index.cell(VIRTUAL_LABELS["maxct"], "anc", ebn0)
+        refs[ebn0] = None
+        if virtual is None or virtual["delay_s"] is None:
+            continue
+        for label in sorted(labels):
+            row = index.cell(label, "anc", ebn0)
+            if row is not None and all(row[m] == virtual[m] for m in metrics):
+                refs[ebn0] = label
+                break
     return refs
 
 

@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelTrace, generate_trace, read_gain_trace, to_erasure_trace
+from .channel import (
+    ChannelTrace,
+    TraceParseError,
+    generate_trace,
+    read_gain_trace,
+    to_erasure_trace,
+)
 from .completion import (
     AdaptivePolicy,
     InfeasibleModelError,
@@ -26,7 +32,7 @@ from .completion import (
     NonAdaptivePolicy,
     expected_delay_packets,
 )
-from .scenario import SCHEMES, Scenario
+from .scenario import SCHEMES, Scenario, ScenarioError
 from .simkit import SimConfig, run_single
 from .virtualize import MulticastGroup, build_maxpe, maxct_reference
 
@@ -45,13 +51,22 @@ VIRTUAL_LABELS = {"maxpe": "V-MaxPe", "maxct": "V-MaxCT"}
 
 
 def build_traces(scenario: Scenario) -> list[ChannelTrace]:
-    """Per-receiver gain traces: from files if listed, else seeded generation."""
+    """Per-receiver gain traces: from files if listed, else seeded generation.
+
+    A trace file that cannot be read or parsed is a ScenarioError.
+    """
     if scenario.trace_files:
-        return [
-            read_gain_trace(path, slot_duration=scenario.packet_time_s,
-                            receiver_id=label)
-            for path, label in zip(scenario.trace_files, scenario.receiver_labels())
-        ]
+        try:
+            return [
+                read_gain_trace(path, slot_duration=scenario.packet_time_s,
+                                receiver_id=label)
+                for path, label in zip(scenario.trace_files, scenario.receiver_labels())
+            ]
+        except OSError as exc:
+            raise ScenarioError(
+                f"cannot read trace file {exc.filename}: {exc.strerror}") from None
+        except TraceParseError as exc:
+            raise ScenarioError(f"bad trace file {exc}") from None
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.receivers)
     return [
         generate_trace(

@@ -66,6 +66,9 @@ class Scenario:
         if not self.eb_n0_db:
             raise ScenarioError("eb_n0_db sweep must be nonempty")
         self.eb_n0_db = [float(x) for x in self.eb_n0_db]
+        repeated = sorted({x for x in self.eb_n0_db if self.eb_n0_db.count(x) > 1})
+        if repeated:
+            raise ScenarioError(f"eb_n0_db repeats {repeated}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ScenarioError(f"unknown schemes: {sorted(unknown)}")
@@ -81,8 +84,10 @@ class Scenario:
             raise ScenarioError(f"trials must be in [1, {MAX_TRIALS}]")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
-        if self.trace_files is not None and len(self.trace_files) != self.receivers:
-            raise ScenarioError("trace_files must list one file per receiver")
+        if self.trace_files is not None and (
+                len(self.trace_files) != self.receivers
+                or not all(isinstance(f, str) for f in self.trace_files)):
+            raise ScenarioError("trace_files must list one file path per receiver")
 
     def initial_state(self, receiver_index: int) -> str:
         """Round-robin state assignment over the receiver index."""
@@ -172,7 +177,11 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
-    return scenario_from_dict(raw)
+    scenario = scenario_from_dict(raw)
+    if scenario.trace_files:
+        # relative to the scenario file, so the file alone fixes the campaign
+        scenario.trace_files = [str(path.parent / f) for f in scenario.trace_files]
+    return scenario
 
 
 def save_scenario(path, scenario: Scenario):

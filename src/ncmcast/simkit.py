@@ -15,8 +15,8 @@ when its coefficient vectors reach full rank, so it tracks only their
 span; payloads play no part.  The spans of every trial sit in one
 array, and each round eliminates packet k of every trial that got it
 and is short of full rank at once, in one batched step
-(`rlnc.absorb_batch`).  `rlnc.Span` is that step's reference and
-`rlnc.Generation`'s base; only `Generation` codes payloads.
+(`rlnc.absorb_batch`); `rlnc.Span`, which absorbs one vector at a time,
+is that step's reference.
 
 One kernel runs every trial of a run together, one round at a time:
 each round it reads every active trial's batch from the policy's table,

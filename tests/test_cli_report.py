@@ -1,9 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncmcast import cli, simkit
+from ncmcast.report import ResultIndex, build_table_ii
 from ncmcast.runner import (
     RESULT_FIELDS,
     read_results_csv,
@@ -227,6 +229,44 @@ class TestRun:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+class TestTraceFiles:
+    def test_generated_traces_reproduce_the_run(self, small_scenario, tmp_path):
+        """A scenario listing the traces gen-traces wrote, by paths relative
+        to itself, reproduces the generated run byte for byte."""
+        s, spath = small_scenario
+        traces = tmp_path / "traces"
+        assert run_cli("gen-traces", "--scenario", spath, "--out", traces) == 0
+        listed = replace(s, trace_files=[f"trace-{k:03d}.csv"
+                                         for k in s.receiver_labels()])
+        save_scenario(traces / "listed.yaml", listed)
+        generated, read = tmp_path / "generated.csv", tmp_path / "read.csv"
+        for scenario, out in ((spath, generated), (traces / "listed.yaml", read)):
+            assert run_cli("run", "--scenario", scenario, "--engine", "both",
+                           "--trials", 40, "--out", out) == 0
+        assert read.read_bytes() == generated.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen-traces", "run", "report"])
+    @pytest.mark.parametrize("content", [None, "slot,gain_db\n0,1.5\n2,1.0\n"])
+    def test_unusable_trace_file_is_a_config_error(self, small_scenario, tmp_path,
+                                                   capsys, command, content):
+        s, _ = small_scenario
+        names = ["trace-1.csv", "trace-2.csv", "trace-3.csv"]
+        for name in names[:2]:
+            (tmp_path / name).write_text("slot,gain_db\n0,1.5\n1,1.0\n")
+        if content is not None:
+            (tmp_path / names[2]).write_text(content)
+        spath = tmp_path / "listed.yaml"
+        save_scenario(spath, replace(s, trace_files=names))
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(RESULT_FIELDS) + "\n")
+        args = {"gen-traces": ("--out", tmp_path / "out"),
+                "run": ("--out", tmp_path / "out.csv"),
+                "report": (results, "--out", tmp_path / "out")}[command]
+        assert run_cli(command, "--scenario", spath, *args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "trace-3.csv" in err
+
+
 def parse_markdown_table(text):
     lines = [l for l in text.strip().split("\n") if l.strip()]
     rows = []
@@ -333,6 +373,26 @@ class TestReport:
                        "--out", out) == status
         table = parse_markdown_table((out / "table-ii.md").read_text())
         assert [r[:4] for r in table if r[0] == "MaxCT"] == [row]
+
+    def test_maxct_reference_is_the_receiver_its_row_repeats(self):
+        """Table II names, per point, the receiver whose `anc` row the
+        V-MaxCT `anc` row repeats, not the one with the largest `anc`
+        delay: a Monte Carlo V-MaxCT row copies the reference the runner
+        ranked from analytic solves."""
+        def row(receiver, ebn0, delay):
+            values = (None,) * 4 if delay is None else (delay, 4 / delay, 6.0, 0.01)
+            return dict(zip(RESULT_FIELDS, (str(receiver), "anc", ebn0, *values[:3],
+                                            "montecarlo", values[3])))
+
+        anc = {5.0: (0.9, 0.8, 0.7), 7.0: (0.5, 0.6, 0.5), 9.0: (0.5, 0.6, 0.7)}
+        copied = {5.0: 1, 7.0: 0, 9.0: None}  # index of the repeated receiver
+        rows = [row(k + 1, ebn0, d) for ebn0, ds in anc.items() for k, d in enumerate(ds)]
+        rows += [row("V-MaxCT", ebn0, None if k is None else anc[ebn0][k])
+                 for ebn0, k in copied.items()]
+        table = build_table_ii(ResultIndex(rows, "montecarlo"), [1, 2, 3],
+                               {1: -1.0, 2: -2.0, 3: -3.0}, None, ["anc", "maxct"])
+        # 5 dB copies receiver 2; 7 dB ties 1 and 3, the smaller label wins
+        assert parse_markdown_table(table)[0][:4] == ["MaxCT", "1,2", "-1.00", "-2.00"]
 
     def test_montecarlo_only_results_reportable(self, small_scenario, tmp_path):
         s, spath = small_scenario

@@ -101,3 +101,28 @@ def test_shipped_scenarios_load():
         assert s.receivers == 10
         assert s.dof == 10
         assert s.ack_wait_s == 0.2388
+
+
+@pytest.mark.parametrize("sweep", [[7.0, 7], [1.0, 2.0, 1.0]])
+def test_repeated_eb_n0_point_rejected_on_load(tmp_path, sweep):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"eb_n0_db: {sweep}\n")
+    with pytest.raises(ScenarioError, match="eb_n0_db repeats"):
+        load_scenario(path)
+
+
+def test_trace_files_resolve_against_the_scenario_file(tmp_path, monkeypatch):
+    folder = tmp_path / "campaign"
+    folder.mkdir()
+    absolute = str(tmp_path / "elsewhere.csv")
+    (folder / "s.yaml").write_text(
+        f"receivers: 2\ntrace_files: [traces/a.csv, {absolute}]\n")
+    monkeypatch.chdir(tmp_path)
+    s = load_scenario("campaign/s.yaml")
+    assert s.trace_files == [str(folder.relative_to(tmp_path) / "traces" / "a.csv"),
+                             absolute]
+
+
+def test_trace_files_must_be_paths():
+    with pytest.raises(ScenarioError, match="trace_files"):
+        Scenario(receivers=2, trace_files=["a.csv", 5])
