@@ -29,7 +29,7 @@ from .completion import (
 )
 from .gf import FieldSpec, GF2m
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
-from .simkit import SimConfig, SimSummary, run_single
+from .simkit import SimConfig, SimSummary, run_many, run_single
 from .virtualize import MulticastGroup, build_maxpe
 
 __version__ = "0.1.0"
@@ -60,6 +60,7 @@ __all__ = [
     "generate_trace",
     "load_scenario",
     "low_height_building_default",
+    "run_many",
     "run_single",
     "save_scenario",
     "to_erasure_trace",

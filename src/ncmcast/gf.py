@@ -2,10 +2,11 @@
 
 Field elements are integers in [0, 2^m); bit k is the coefficient of x^k
 in the polynomial basis.  Addition is XOR.  Multiplication reduces modulo
-a fixed primitive polynomial per field size.  All sizes multiply through
-log/antilog tables (1 MiB at worst, for GF(2^16)); a carryless
-shift-and-xor multiply is kept as the independent reference the tables
-are checked against.
+a fixed primitive polynomial per field size.  Fields up to GF(2^8)
+multiply by one gather from a flat q x q product table (64 KiB at
+GF(2^8)); GF(2^16) multiplies through log/antilog tables (1 MiB).  A
+carryless shift-and-xor multiply is kept as the independent reference
+the tables are checked against.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class GF2m:
         exp[q - 1:2 * (q - 1)] = exp[: q - 1]
         self._exp = exp
         self._log = log
+        # entry (a << m) | b is a * b
+        self._prod = exp[log[:, None] + log].ravel() if self.m <= 8 else None
 
     # -- element ops ---------------------------------------------------
 
@@ -99,7 +102,10 @@ class GF2m:
 
     def mul(self, a, b):
         """a * b, broadcasting over array arguments."""
-        out = self._exp[self._log[a] + self._log[b]]
+        if self._prod is None:
+            out = self._exp[self._log[a] + self._log[b]]
+        else:
+            out = self._prod[(np.asarray(a, np.uint16) << self.m) | b]
         return int(out) if out.ndim == 0 else out
 
     def mul_carryless(self, a, b):

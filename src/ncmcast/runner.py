@@ -7,11 +7,12 @@ distinct question once and writes one row per cell, so the V-MaxCT
 cells, which ask their reference receiver's own questions, are that
 receiver's rows in both engines.  A receiver's cell under a virtual
 scheme asks its own trace under the shared policy, so every cell is one
-receiver, and each Monte Carlo answer is one `simkit.run_single`.  Cells
-whose model is infeasible (a trace too erased to cover the block within
-the batch cap) are flagged with NA values and the sweep continues.  So
-are Monte Carlo cells where any trial ran out of rounds, since a mean
-over the trials that completed is biased low.
+receiver, and the Monte Carlo engine answers all of a point's questions
+in one `simkit.run_many` pass.  Cells whose model is infeasible (a trace
+too erased to cover the block within the batch cap) are flagged with NA
+values and the sweep continues.  So are Monte Carlo cells where any
+trial ran out of rounds, since a mean over the trials that completed is
+biased low.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .completion import (
     expected_delay_packets,
 )
 from .scenario import SCHEMES, Scenario, ScenarioError
-from .simkit import SimConfig, run_single
+from .simkit import SimConfig, run_many
 from .virtualize import MulticastGroup, build_maxpe, maxct_reference
 
 RESULT_FIELDS = (
@@ -53,11 +54,12 @@ VIRTUAL_LABELS = {"maxpe": "V-MaxPe", "maxct": "V-MaxCT"}
 def build_traces(scenario: Scenario) -> list[ChannelTrace]:
     """Per-receiver gain traces: from files if listed, else seeded generation.
 
-    A trace file that cannot be read or parsed is a ScenarioError.
+    A trace file that cannot be read or parsed, or files of unequal
+    lengths, are a ScenarioError.
     """
     if scenario.trace_files:
         try:
-            return [
+            traces = [
                 read_gain_trace(path, slot_duration=scenario.packet_time_s,
                                 receiver_id=label)
                 for path, label in zip(scenario.trace_files, scenario.receiver_labels())
@@ -67,6 +69,11 @@ def build_traces(scenario: Scenario) -> list[ChannelTrace]:
                 f"cannot read trace file {exc.filename}: {exc.strerror}") from None
         except TraceParseError as exc:
             raise ScenarioError(f"bad trace file {exc}") from None
+        if len({len(trace) for trace in traces}) > 1:
+            raise ScenarioError("trace files of unequal lengths: " + ", ".join(
+                f"{path} (length {len(trace)})"
+                for path, trace in zip(scenario.trace_files, traces)))
+        return traces
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.receivers)
     return [
         generate_trace(
@@ -176,29 +183,22 @@ def _cells(schemes, labels, ref) -> list[tuple]:
     return cells
 
 
-def _memo(solve, answers: dict):
-    """`solve` answering each question once; `answers` holds those found."""
-    def answer(question):
-        if question not in answers:
-            answers[question] = solve(question)
-        return answers[question]
-
-    return answer
-
-
 def _analytic_point(scenario: Scenario, params: ModelParams,
                     point: _Point) -> list[dict]:
     def solve(question):
-        trace, policy = question
-        return expected_delay_packets(point.traces[trace], params,
-                                      point.policies[policy], scenario.start_slot)
+        """The question's answer, solved once per point."""
+        if question not in point.solved:
+            trace, policy = question
+            point.solved[question] = expected_delay_packets(
+                point.traces[trace], params, point.policies[policy], scenario.start_slot)
+        return point.solved[question]
 
     def row(label, scheme, ebn0, answer) -> dict:
         delay, packets = answer
         return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
                     packets, 0.0)
 
-    return point.rows("analytic", _memo(solve, point.solved), row)
+    return point.rows("analytic", solve, row)
 
 
 def _mc_summary_row(label, scheme, ebn0, summary) -> dict:
@@ -217,23 +217,25 @@ def _cell_seed(scenario_seed: int, ebn0: float, scheme: str,
 
 def _mc_point(scenario: Scenario, params: ModelParams, point: _Point,
               trials: int, workers: int) -> list[dict]:
-    def solve(question):
-        """The run seeded by the question's scheme and receiver, or the
-        error it raised.  The V-MaxPe trace is receiver -2."""
-        trace, policy = question
+    """Every distinct question of the point in one `run_many` pass,
+    each run seeded by its scheme and receiver (the V-MaxPe trace is
+    receiver -2)."""
+    questions = list(dict.fromkeys(
+        question for _, _, question in point.cells
+        if not isinstance(question, InfeasibleModelError)))
+    asked = []
+    for trace, policy in questions:
         scheme = ("nc" if policy == "nc" else "anc" if policy == trace
                   else "maxpe" if policy == "maxpe" else "maxct")
         receiver = -2 if trace == "maxpe" else point.labels[trace]
-        seed = _cell_seed(scenario.seed, point.ebn0, scheme, receiver)
-        config = SimConfig(trials=trials, seed=np.random.SeedSequence(seed),
-                           params=params, decoding=scenario.decoding,
-                           start_slot=scenario.start_slot, workers=workers)
-        try:
-            return run_single(config, point.traces[trace], point.policies[policy])
-        except InfeasibleModelError as exc:
-            return exc.with_traceback(None)
-
-    return point.rows("montecarlo", _memo(solve, {}), _mc_summary_row)
+        seed = np.random.SeedSequence(
+            _cell_seed(scenario.seed, point.ebn0, scheme, receiver))
+        asked.append((seed, point.traces[trace], point.policies[policy]))
+    config = SimConfig(trials=trials, seed=scenario.seed, params=params,
+                       decoding=scenario.decoding, start_slot=scenario.start_slot,
+                       workers=workers)
+    answers = dict(zip(questions, run_many(config, asked)))
+    return point.rows("montecarlo", answers.__getitem__, _mc_summary_row)
 
 
 def run_scenario(scenario: Scenario, engine: str = "analytic",

@@ -1,40 +1,37 @@
 """Monte Carlo discrete-event simulation of batched coded transmission.
 
-Every run is one question: one receiver loses packets on its erasure
-trace while a sender sizes each batch from a policy's table at the
-receiver's outstanding deficit, with lossless round-trip
-acknowledgments.  The caller hands in the policy (the receiver's own,
-the non-adaptive one, or one a virtual scheme shares across the group),
-so the simulator names no scheme; every cell of the runner is a
-`run_single`.  The receiver's clock stops at the end of the round that
-completes it.
+A question is one receiver losing packets on its erasure trace while a
+sender sizes each batch from a policy's table at the receiver's
+outstanding deficit, with lossless round-trip acknowledgments; the
+caller hands in the policy, so the simulator names no scheme.  The
+receiver's clock stops at the end of the round that completes it.
 Decoding is either idealized (every received packet is one degree of
-freedom) or real random linear coding over a configured field, where
-dependent combinations waste receptions.  A coded receiver completes
-when its coefficient vectors reach full rank, so it tracks only their
-span; payloads play no part.  The spans of every trial sit in one
-array, and each round eliminates packet k of every trial that got it
-and is short of full rank at once, in one batched step
-(`rlnc.absorb_batch`); `rlnc.Span`, which absorbs one vector at a time,
-is that step's reference.
+freedom) or real random linear coding over a configured field, where a
+receiver completes when its coefficient vectors reach full rank.
 
-One kernel runs every trial of a run together, one round at a time:
-each round it reads every active trial's batch from the policy's table,
-taken once per run, and draws the round's erasures as one block in
-trial order.  A trial raises only when it visits a window the table
-marks uncovered.  Which stream draws is the one choice left:
+`run_many` answers many questions on traces of one length in one pass
+(the runner makes one per Eb/N0 point); `run_single` is its
+one-question call.  The pass's lanes are ordered (question, trial), and
+one kernel advances the active lanes of every question together, one
+round at a time: it reads each lane's batch from one flat array of the
+distinct policies' tables and its erasure probabilities from the traces
+laid end to end.  A question stops at its first trial, in trial order,
+to visit a window its table marks uncovered, in the first round that
+meets one; its lanes drop out and no other question moves.  The k-th
+received packet of every RLNC lane short of full rank is eliminated in
+one batched step (`rlnc.absorb_batch`, whose reference is `rlnc.Span`).
+Which stream draws is the one choice left:
 
-- idealized decoding without kept records draws from one generator for
-  the whole run;
+- idealized decoding without kept records draws from one generator per
+  question, which each round draws that question's lanes in trial order;
 - RLNC decoding or kept records draw from counter-based streams: trial
   i's n-th erasure uniform, and the coefficient vector of its n-th
   packet, are the SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014)
   at an injective counter built from (i, n[, coordinate]), under one of
-  two keys taken from the run's seed.  No generator is built per trial,
-  and every active trial of a round draws in one vectorized step; a
-  draw depends only on (seed, i, n), so a trial draws as it would run
-  alone, and neither the split of trials over workers nor `DRAW_BLOCK`
-  changes results.
+  two keys taken from the question's seed and held per lane.  A draw
+  depends only on (seed, i, n), so a trial draws as it would run alone,
+  and neither the other questions of a pass, the split of trials over
+  workers nor `DRAW_BLOCK` changes results.
 """
 
 from __future__ import annotations
@@ -44,11 +41,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .completion import InfeasibleWindowError, ModelParams, _pe_array
+from .completion import (InfeasibleModelError, InfeasibleWindowError, ModelParams,
+                         _pe_array)
 from .gf import FieldSpec, field_for
 from .rlnc import absorb_batch
 
-DRAW_BLOCK = 1 << 16  # most uniform draws per block of trials in one round
+DRAW_BLOCK = 1 << 14  # most erasure draws per block of lanes in one round
 DECODINGS = {"ideal": None, "rlnc": FieldSpec(8)}  # decoder field by name
 # A stream counter holds the trial index above a trial's draw index of
 # _INDEX_BITS bits: the packet, or packet * dof + coordinate.
@@ -143,20 +141,11 @@ class SimSummary:
     records: list[TrialRecord] | None = None
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 @dataclass
 class _Outcome:
-    """Where each trial ended; arrays of (trials,).
-
-    A trial's clock, packets and rounds stop at the end of the round that
-    completes it, or at the last round when it never completes.
-    `timelines` holds the deficit after each of its rounds, if kept.
-    """
+    """Where each lane ended, over lanes ordered (question, trial): the
+    clock, packets and rounds at the end of the round that completes it,
+    or of the last round, and, if kept, its deficit after each round."""
 
     delay: np.ndarray
     packets: np.ndarray
@@ -164,23 +153,17 @@ class _Outcome:
     remaining: np.ndarray
     timelines: np.ndarray
 
-    @classmethod
-    def start(cls, trials: int, dof: int) -> "_Outcome":
-        return cls(np.zeros(trials), np.zeros(trials, dtype=np.int64),
-                   np.zeros(trials, dtype=np.int64),
-                   np.full(trials, dof, dtype=np.int64),
-                   np.full(trials, None, dtype=object))
-
 
 # -- the kernel ----------------------------------------------------------------
 
 
-def _splitmix64(key: int, counter) -> np.ndarray:
+def _splitmix64(key, counter) -> np.ndarray:
     """Output `counter` (from 0) of the SplitMix64 generator seeded with
-    `key`: its finalizer at key + (counter + 1) * gamma, modulo 2^64.
-    Under one key, distinct counters give distinct outputs."""
-    z = np.asarray(counter, dtype=np.uint64) * np.uint64(_GAMMA)
-    z += np.uint64((key + _GAMMA) % 2**64)
+    `key` (or one key per counter): its finalizer at key + (counter + 1)
+    * gamma, modulo 2^64.  Under one key, distinct counters differ."""
+    z = np.asarray(counter, dtype=np.uint64) + np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.asarray(key, dtype=np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -201,18 +184,18 @@ def _counters(trial, index) -> np.ndarray:
         | np.asarray(index, dtype=np.uint64)
 
 
-def _uniforms(key: int, trial, packet) -> np.ndarray:
+def _uniforms(key, trial, packet) -> np.ndarray:
     """Erasure uniform in [0, 1) of each (trial, packet) pair: the top 53
     bits of its hash, so exactly uniform on the multiples of 2^-53."""
     return (_splitmix64(key, _counters(trial, packet)) >> np.uint64(11)) * 2.0**-53
 
 
-def _coefficients(key: int, field, trial, packet, dof: int) -> np.ndarray:
+def _coefficients(key, field, trial, packet, dof: int) -> np.ndarray:
     """Coefficient vector of each (trial, packet) pair, one row each;
     coordinate c of packet n is draw n * dof + c of its trial."""
     index = np.asarray(packet, dtype=np.uint64) * np.uint64(dof)
     counters = _counters(trial, index)[:, None] + np.arange(dof, dtype=np.uint64)
-    return _symbols(_splitmix64(key, counters), field)
+    return _symbols(_splitmix64(np.asarray(key)[..., None], counters), field)
 
 
 def _symbols(hashes: np.ndarray, field) -> np.ndarray:
@@ -221,8 +204,8 @@ def _symbols(hashes: np.ndarray, field) -> np.ndarray:
 
 
 def _blocks(draws: np.ndarray):
-    """Runs [a, b) of consecutive trials of at most DRAW_BLOCK draws in all,
-    or of one trial that alone draws more; `draws` counts each trial's."""
+    """Runs [a, b) of consecutive lanes of at most DRAW_BLOCK draws in all,
+    or of one lane that alone draws more; `draws` counts each lane's."""
     ends = np.cumsum(draws)
     a = 0
     while a < ends.size:
@@ -232,62 +215,91 @@ def _blocks(draws: np.ndarray):
         a = b
 
 
-def _kernel(args) -> _Outcome:
-    """Every trial advanced together, one round at a time.
+def _kernel(args) -> tuple[_Outcome, list]:
+    """Every lane of every question advanced together, one round at a time.
 
-    With `offset` None, one generator on `seed` draws every trial's
-    erasures in trial order.  Otherwise trial i of this call is trial
-    `offset + i` of the run, and draws from the counter streams keyed by
-    `seed`, just as it would run on its own.
+    Lane q * trials + i is trial `offset + i` of question q; it reads row
+    q of `pe` and table `policy_of[q]` of `tables`, and draws from its
+    question's generator if `offset` is None, else from its counter
+    streams.  Returns the outcome and, per question, the
+    InfeasibleWindowError that stopped it, or None.
     """
-    seed, offset, trials, pe, table, params, field_spec, max_rounds, start_slot, \
-        keep_timeline = args
-    tau, dof = pe.size, params.dof
+    seeds, offset, trials, pe, tables, policy_of, params, field_spec, max_rounds, \
+        start_slot, keep_timeline = args
+    (n_q, span), (_, dof, tau) = pe.shape, tables.shape
+    pe, tables, lanes = pe.ravel(), tables.ravel(), n_q * trials
     field = None if field_spec is None else field_for(field_spec)
+    question = np.repeat(np.arange(n_q), trials)
+    table_base = np.repeat(np.asarray(policy_of) * (dof * tau), trials)
     if offset is None:
-        shared = np.random.default_rng(seed)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
     else:
-        shared = None
-        erasure_key, coding_key = _stream_keys(seed)
-    if field is not None:  # every trial's span, indexed by pivot
-        rows = np.zeros((trials, dof, dof), dtype=field.dtype)
-    out = _Outcome.start(trials, dof)
+        rngs = None
+        keys = np.array([_stream_keys(seed) for seed in seeds], dtype=np.uint64)
+        erasure_key, coding_key = keys[question, 0], keys[question, 1]
+        trial_of = offset + np.tile(np.arange(trials), n_q)
+    if field is not None:  # every lane's span, indexed by pivot
+        rows = np.zeros((lanes, dof, dof), dtype=field.dtype)
+    errors = [None] * n_q
+    out = _Outcome(np.zeros(lanes), np.zeros(lanes, dtype=np.int64),
+                   np.zeros(lanes, dtype=np.int64), np.full(lanes, dof),
+                   np.full(lanes, None, dtype=object))
     if keep_timeline:
-        for i in range(trials):
+        for i in range(lanes):
             out.timelines[i] = [dof]
     remaining = out.remaining
-    slot = np.full(trials, start_slot % tau, dtype=np.int64)
+    slot = np.full(lanes, start_slot % tau, dtype=np.int64)
+
+    def arrivals(members, nb, first):
+        """Whether each packet of the lanes' batches arrives, lane by lane."""
+        at = np.arange(nb.sum())  # packet k of a lane is at first + k
+        if rngs is None:
+            u = _uniforms(np.repeat(erasure_key[members], nb),
+                          np.repeat(trial_of[members], nb),
+                          at + np.repeat(out.packets[members] - first, nb))
+        else:  # each question's lanes, in trial order
+            q = question[members]
+            starts = np.flatnonzero(np.diff(q, prepend=-1))
+            u = np.concatenate([rngs[k].random(n) for k, n in
+                                zip(q[starts], np.add.reduceat(nb, starts))])
+        base = question[members] * span + slot[members]  # row q runs on past tau
+        return u >= pe[at + np.repeat(base - first, nb)]
+
     for rounds in range(1, max_rounds + 1):
         active = np.flatnonzero(remaining)
+        batch = tables[table_base[active] + (remaining[active] - 1) * tau
+                       + slot[active]].astype(np.int64)
+        if not batch.all():  # a question stops at its first trial, in trial
+            for i in active[batch == 0]:  # order, in an uncovered window
+                if remaining[i]:
+                    q, deficit = question[i], int(remaining[i])
+                    errors[q] = InfeasibleWindowError(int(slot[i]), deficit)
+                    remaining[question == q] = 0  # its lanes drop out
+            going = remaining[active] > 0
+            active, batch = active[going], batch[going]
         if active.size == 0:
             break
-        deficit = remaining[active]
-        batch = table[deficit - 1, slot[active]].astype(np.int64)
-        if not batch.all():  # the first trial in an uncovered window
-            i = int(np.argmin(batch))
-            raise InfeasibleWindowError(int(slot[active[i]]), int(deficit[i]))
         for a, b in _blocks(batch):
             members, nb = active[a:b], batch[a:b]
-            first = np.cumsum(nb) - nb  # each trial's first packet
-            step = np.arange(nb.sum()) - np.repeat(first, nb)  # within its batch
-            slots = (np.repeat(slot[members], nb) + step) % tau
-            if shared is not None:
-                u = shared.random(slots.size)
-            else:
-                trial = np.repeat(offset + members, nb)
-                packet = np.repeat(out.packets[members], nb) + step
-                u = _uniforms(erasure_key, trial, packet)
-            survive = u >= pe[slots]
+            first = np.cumsum(nb) - nb  # each lane's first packet
+            survive = arrivals(members, nb, first)
+            got = np.add.reduceat(survive, first)  # packets each lane received
             if field is None:
-                remaining[members] = np.maximum(
-                    remaining[members] - np.add.reduceat(survive, first), 0)
+                remaining[members] = np.maximum(remaining[members] - got, 0)
                 continue
-            coefs = _coefficients(coding_key, field, trial, packet, dof)
-            for k in range(int(nb.max())):  # packet k of every trial at once
-                has = np.flatnonzero(nb > k)
-                j = has[survive[first[has] + k] & (remaining[members[has]] > 0)]
+            # the k-th received packet of every lane short of full rank is
+            # eliminated at once; only these packets draw coefficients
+            step = np.flatnonzero(survive) - np.repeat(first, got)  # within its batch
+            start = np.cumsum(got) - got
+            for k in range(int(got.max())):
+                j = np.flatnonzero(got > k)
+                j = j[remaining[members[j]] > 0]
+                if j.size == 0:
+                    break
                 i = members[j]
-                new = absorb_batch(field, rows, i, coefs[first[j] + k])
+                packet = out.packets[i] + step[start[j] + k]
+                coefs = _coefficients(coding_key[i], field, trial_of[i], packet, dof)
+                new = absorb_batch(field, rows, i, coefs)
                 remaining[i[new]] -= 1
         out.delay[active] += batch * params.t_p + params.t_w
         out.packets[active] += batch
@@ -296,68 +308,84 @@ def _kernel(args) -> _Outcome:
         if keep_timeline:
             for i in active:
                 out.timelines[i].append(int(remaining[i]))
-    return out
+    return out, errors
 
 
-# -- one entry for every run ---------------------------------------------------
+# -- one pass for many questions ----------------------------------------------
 
 
-def _simulate(config: SimConfig, pe: np.ndarray, policy) -> _Outcome:
-    """Trials of one receiver with erasure trace `pe`, each batch sized from
-    `policy`'s table at its outstanding deficit; RLNC decoding or kept
-    records draw from per-trial counter streams, anything else from one
-    generator across the run."""
-    field_spec = config.field_spec
-    table = policy.table(config.params.dof, pe.size)
-    seed = _as_seedseq(config.seed)
-    common = (pe, table, config.params, field_spec, config.max_rounds,
-              config.start_slot, config.record_trials)
-    if field_spec is None and not config.record_trials:
-        return _kernel((seed, None, config.trials) + common)
-    if config.workers == 1:
-        return _kernel((seed, 0, config.trials) + common)
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+def run_many(config: SimConfig, questions) -> list:
+    """Answer every question (seed, trace, policy) in one pass.
 
-    bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
-    tasks = [(seed, a, b - a) + common
-             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        parts = list(pool.map(_kernel, tasks))
-    # the chunks' outcomes, joined in trial order
-    return _Outcome(*(np.concatenate(a)
-                      for a in zip(*(vars(p).values() for p in parts))))
+    A question is `config.trials` trials of one receiver on `trace`, each
+    batch sized from `policy`'s table, drawn from streams of `seed`
+    (`config.seed` is not read); the traces share one length.  Returns,
+    per question, its SimSummary or the InfeasibleModelError it raised.
+    """
+    if not questions:
+        return []
+    pes = [_pe_array(trace) for _, trace, _ in questions]
+    tau, dof = pes[0].size, config.params.dof
+    if any(pe.size != tau for pe in pes):
+        raise ValueError("the traces of one pass must share one length")
+    policies = {id(policy): policy for _, _, policy in questions}
+    tables = np.empty((len(policies), dof, tau), np.min_scalar_type(64 * dof))
+    for k, policy in enumerate(policies.values()):  # each batch is <= 64 dof
+        tables[k] = policy.table(dof, tau)
+    policy_of = [list(policies).index(id(policy)) for _, _, policy in questions]
+    seeds = [seed if isinstance(seed, np.random.SeedSequence)
+             else np.random.SeedSequence(seed) for seed, _, _ in questions]
+    # each trace runs on past its end, to the end of the longest batch
+    pe = np.stack(pes)[:, np.arange(tau + int(tables.max())) % tau]
+    common = (pe, tables, policy_of, config.params, config.field_spec,
+              config.max_rounds, config.start_slot, config.record_trials)
+    if config.field_spec is None and not config.record_trials:
+        parts = [_kernel((seeds, None, config.trials) + common)]
+    elif config.workers == 1:
+        parts = [_kernel((seeds, 0, config.trials) + common)]
+    else:  # the workers split the trials of every question
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
+        bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
+        tasks = [(seeds, a, b - a) + common
+                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            parts = list(pool.map(_kernel, tasks))
+    # each question's lanes of every part, joined in trial order; its
+    # error is that of the first part to stop it
+    out = _Outcome(*(np.concatenate([a.reshape(len(questions), -1) for a in arrays], 1)
+                     for arrays in zip(*(vars(part).values() for part, _ in parts))))
+    answers = []
+    for q in range(len(questions)):
+        stopped = [errors[q] for _, errors in parts if errors[q] is not None]
+        answers.append(stopped[0] if stopped else _summary(config, out, q))
+    return answers
+
+
+def _summary(config: SimConfig, out: _Outcome, q: int) -> SimSummary:
+    """Question q's statistics, from row q of the joined outcome."""
+    delay, packets, rounds = out.delay[q], out.packets[q], out.rounds[q]
+    completed = out.remaining[q] == 0
+    n, n_done = completed.size, int(completed.sum())
+    ok_delays = delay[completed]
+    records = [TrialRecord(i, float(delay[i]), int(packets[i]), int(rounds[i]),
+                           bool(completed[i]), out.timelines[q, i] or [])
+               for i in range(n)] if config.record_trials else None
+    return SimSummary(
+        n_trials=n, n_completed=n_done, n_failures=n - n_done,
+        failure_rate=(n - n_done) / n,
+        delay=StatSummary.from_samples(ok_delays),
+        throughput=StatSummary.from_samples(config.params.dof / ok_delays),
+        packets=StatSummary.from_samples(packets[completed]),
+        rounds=StatSummary.from_samples(rounds[completed]),
+        records=records,
+    )
 
 
 def run_single(config: SimConfig, trace, policy) -> SimSummary:
-    """Simulate one receiver whose batches `policy` sizes."""
-    out = _simulate(config, _pe_array(trace), policy)
-    completed = out.remaining == 0
-    n = completed.size
-    n_done = int(completed.sum())
-    ok_delays = out.delay[completed]
-    records = None
-    if config.record_trials:
-        records = [
-            TrialRecord(
-                trial=i,
-                completion_time=float(out.delay[i]),
-                packets_sent=int(out.packets[i]),
-                rounds=int(out.rounds[i]),
-                completed=bool(completed[i]),
-                dof_timeline=out.timelines[i] or [],
-            )
-            for i in range(n)
-        ]
-    return SimSummary(
-        n_trials=n,
-        n_completed=n_done,
-        n_failures=n - n_done,
-        failure_rate=(n - n_done) / n,
-        delay=StatSummary.from_samples(ok_delays),
-        throughput=StatSummary.from_samples(
-            config.params.dof / ok_delays if ok_delays.size else ok_delays
-        ),
-        packets=StatSummary.from_samples(out.packets[completed]),
-        rounds=StatSummary.from_samples(out.rounds[completed]),
-        records=records,
-    )
+    """Simulate one receiver whose batches `policy` sizes: the one-question
+    pass of `run_many`, seeded by `config.seed`, raising its error."""
+    answer, = run_many(config, [(config.seed, trace, policy)])
+    if isinstance(answer, InfeasibleModelError):
+        raise answer
+    return answer

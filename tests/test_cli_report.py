@@ -266,6 +266,18 @@ class TestTraceFiles:
         err = capsys.readouterr().err
         assert "config error" in err and "trace-3.csv" in err
 
+    def test_trace_files_of_unequal_lengths_are_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "two.csv").write_text("slot,gain_db\n0,1.5\n1,1.0\n")
+        (tmp_path / "one.csv").write_text("slot,gain_db\n0,1.5\n")
+        spath = tmp_path / "listed.yaml"
+        save_scenario(spath, Scenario(name="unequal", receivers=2, dof=2,
+                                      trace_files=["two.csv", "one.csv"]))
+        assert run_cli("run", "--scenario", spath, "--out", tmp_path / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "two.csv (length 2)" in err and "one.csv (length 1)" in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 def parse_markdown_table(text):
     lines = [l for l in text.strip().split("\n") if l.strip()]

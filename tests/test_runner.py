@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncmcast import completion, simkit
+from ncmcast import completion, runner
 from ncmcast.channel import ErasureTrace, to_erasure_trace
 from ncmcast.completion import (AdaptivePolicy, ModelParams, NonAdaptivePolicy,
                                 expected_delay_packets)
@@ -122,27 +122,30 @@ def test_engines_share_one_plan_per_point(monkeypatch, sizing_tables):
     # and the 10 own solves that rank maxct serve the analytic cells too.
     # Each sizing table is counted by its rows: an analytic solve checks
     # a one-row table before the full one, Monte Carlo reads only full
-    # tables.  Monte Carlo simulates nc 10, anc 10, maxpe 10, the two
-    # V-MaxPe cells and maxct 9: the reference receiver's maxct cell and
-    # the V-MaxCT cells are the reference's own.
+    # tables.  Monte Carlo answers the point in one pass of nc 10, anc 10,
+    # maxpe 10, the two V-MaxPe cells and maxct 9 (41 questions): the
+    # reference receiver's maxct cell and the V-MaxCT cells are the
+    # reference's own.
     calls = {}
-    for module, name in ((completion, "_expected_cost"), (simkit, "_simulate")):
+    for module, name in ((completion, "_expected_cost"), (runner, "run_many")):
         def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
+            if name == "run_many":
+                calls["questions"] += len(args[1])
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
     scenario = point("geo-trend-demo.yaml", 7.0, trials=30)
-    expected = {"analytic": (41, {1: 11, 10: 11}, 0),
-                "montecarlo": (10, {1: 10, 10: 11}, 41),
-                "both": (41, {1: 11, 10: 11}, 41)}
+    expected = {"analytic": (41, {1: 11, 10: 11}, 0, 0),
+                "montecarlo": (10, {1: 10, 10: 11}, 1, 41),
+                "both": (41, {1: 11, 10: 11}, 1, 41)}
     rows = {}
     for engine, counts in expected.items():
-        calls.update(_expected_cost=0, _simulate=0)
+        calls.update(_expected_cost=0, run_many=0, questions=0)
         sizing_tables.clear()
         rows[engine] = run_scenario(scenario, engine=engine)
         assert (calls["_expected_cost"], dict(sizing_tables),
-                calls["_simulate"]) == counts
+                calls["run_many"], calls["questions"]) == counts
     assert rows["both"] == rows["analytic"] + rows["montecarlo"]
 
 
@@ -267,3 +270,27 @@ def test_small_field_trial_records_are_byte_identical():
     text = "".join(f"{r.completion_time!r},{r.packets_sent},{r.rounds},"
                    f"{r.completed},{r.dof_timeline}\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FIELD_RECORDS_SHA256
+
+
+def test_workers_split_trials_with_one_pool_per_point(monkeypatch):
+    """--workers splits every question's trials, so rows do not depend on
+    it, and a Monte Carlo point starts one process pool for all of them."""
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    scenario = point("geo-trend-demo.yaml", 7.0, trials=30, decoding="rlnc")
+    serial = run_scenario(scenario, engine="montecarlo", workers=1)
+    assert pools == []
+    assert run_scenario(scenario, engine="montecarlo", workers=2) == serial
+    assert pools == [2]
+    pools.clear()
+    run_scenario(replace(scenario, eb_n0_db=[6.5, 7.0, 7.5]), engine="montecarlo",
+                 workers=2)
+    assert pools == [2, 2, 2]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -385,6 +387,57 @@ class TestKernel:
         for row, trace in zip(rows, group.receivers):
             want = per_trial_records(config, np.array(row), policy)
             assert records(run_single(config, trace, policy)) == want
+
+
+class TestRunMany:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rx=st.integers(1, 3), tau=st.integers(1, 40),
+           dof=st.integers(1, 4), trials=st.integers(1, 8),
+           decoding=st.sampled_from(["ideal", FieldSpec(4)]), record=st.booleans(),
+           max_rounds=st.integers(1, 12), start_slot=st.integers(0, 40),
+           block=st.sampled_from([None, 1, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_pass_answers_each_question_as_it_runs_alone(
+            self, data, n_rx, tau, dof, trials, decoding, record, max_rounds,
+            start_slot, block, seed):
+        """A shuffled pass over nc, own and shared policies, with one question
+        that meets an uncovered window and one that never completes, gives
+        each question the summary and records of its run alone."""
+        rows = [np.array(data.draw(st.lists(erasure, min_size=tau, max_size=tau)))
+                for _ in range(n_rx)]
+        policies = [NonAdaptivePolicy(), maxpe_policy(make_group(rows))]
+        questions = [(rows[k], policy) for k in range(n_rx)
+                     for policy in policies + [AdaptivePolicy(rows[k])]]
+        questions += [(rows[0], AdaptivePolicy(np.full(tau, 0.99))),  # uncovered
+                      (np.ones(tau), policies[0])]  # never completes
+        questions = data.draw(st.permutations(
+            [(seed + k, trace, policy) for k, (trace, policy) in enumerate(questions)]))
+        config = SimConfig(trials=trials, seed=0, decoding=decoding,
+                           params=ModelParams(dof=dof, t_p=1e-3, t_w=6e-3),
+                           start_slot=start_slot, max_rounds=max_rounds,
+                           record_trials=record)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(simkit, "DRAW_BLOCK", block)
+            answers = simkit.run_many(config, questions)
+        outcomes = set()
+        for (q_seed, trace, policy), got in zip(questions, answers):
+            try:
+                want = run_single(replace(config, seed=q_seed), trace, policy)
+            except InfeasibleWindowError as exc:
+                assert isinstance(got, InfeasibleWindowError)
+                assert (got.start_slot, got.remaining) == (exc.start_slot, exc.remaining)
+                outcomes.add("uncovered")
+                continue
+            assert repr(got) == repr(want)  # NaN means of a question never completed
+            outcomes.add("cut" if got.n_failures else "done")
+        assert {"uncovered", "cut"} <= outcomes
+
+    def test_traces_of_one_pass_share_one_length(self):
+        config = SimConfig(trials=2, seed=0, params=PARAMS)
+        policy = NonAdaptivePolicy()
+        with pytest.raises(ValueError, match="one length"):
+            simkit.run_many(config, [(1, np.zeros(3), policy), (2, np.zeros(4), policy)])
+        assert simkit.run_many(config, []) == []
 
 
 def splitmix64_reference(key, counter):
