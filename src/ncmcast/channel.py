@@ -300,7 +300,6 @@ def to_erasure_trace(trace: ChannelTrace, eb_n0_db: float,
 # -- CSV trace files -------------------------------------------------------
 
 GAIN_HEADER = "slot,gain_db"
-PE_HEADER = "slot,pe"
 
 
 def _write_columns(path, header: str, values: np.ndarray):
@@ -348,14 +347,3 @@ def read_gain_trace(path, slot_duration: float = DEFAULT_SLOT_SECONDS,
     gains = _read_columns(path, GAIN_HEADER)
     return ChannelTrace(gains, slot_duration=slot_duration, receiver_id=receiver_id)
 
-
-def write_erasure_trace(path, trace: ErasureTrace):
-    _write_columns(path, PE_HEADER, trace.pe)
-
-
-def read_erasure_trace(path, eb_n0_db: float | None = None,
-                       bits_per_packet: int | None = None,
-                       receiver_id: int = 0) -> ErasureTrace:
-    pe = _read_columns(path, PE_HEADER)
-    return ErasureTrace(pe, eb_n0_db=eb_n0_db, bits_per_packet=bits_per_packet,
-                        receiver_id=receiver_id)

@@ -20,18 +20,15 @@ to visit a window its table marks uncovered, in the first round that
 meets one; its lanes drop out and no other question moves.  The k-th
 received packet of every RLNC lane short of full rank is eliminated in
 one batched step (`rlnc.absorb_batch`, whose reference is `rlnc.Span`).
-Which stream draws is the one choice left:
 
-- idealized decoding without kept records draws from one generator per
-  question, which each round draws that question's lanes in trial order;
-- RLNC decoding or kept records draw from counter-based streams: trial
-  i's n-th erasure uniform, and the coefficient vector of its n-th
-  packet, are the SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014)
-  at an injective counter built from (i, n[, coordinate]), under one of
-  two keys taken from the question's seed and held per lane.  A draw
-  depends only on (seed, i, n), so a trial draws as it would run alone,
-  and neither the other questions of a pass, the split of trials over
-  workers nor `DRAW_BLOCK` changes results.
+Every trial draws from counter-based streams: trial i's n-th erasure
+uniform, and the coefficient vector of its n-th packet, are the
+SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014) at an injective
+counter built from (i, n[, coordinate]), under one of two keys taken
+from the question's seed.  A draw depends only on (seed, i, n), so a
+trial draws as it would run alone, and neither the other questions of a
+pass, kept records, the split of trials over workers nor `DRAW_BLOCK`
+changes results.
 """
 
 from __future__ import annotations
@@ -145,7 +142,8 @@ class SimSummary:
 class _Outcome:
     """Where each lane ended, over lanes ordered (question, trial): the
     clock, packets and rounds at the end of the round that completes it,
-    or of the last round, and, if kept, its deficit after each round."""
+    or of the last round, and, if kept, its deficit after each round
+    (else `timelines` is empty)."""
 
     delay: np.ndarray
     packets: np.ndarray
@@ -164,6 +162,11 @@ def _splitmix64(key, counter) -> np.ndarray:
     z = np.asarray(counter, dtype=np.uint64) + np.uint64(1)
     z *= np.uint64(_GAMMA)
     z += np.asarray(key, dtype=np.uint64)
+    return _finalize(z)
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on the uint64 array `z`."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -219,55 +222,60 @@ def _kernel(args) -> tuple[_Outcome, list]:
     """Every lane of every question advanced together, one round at a time.
 
     Lane q * trials + i is trial `offset + i` of question q; it reads row
-    q of `pe` and table `policy_of[q]` of `tables`, and draws from its
-    question's generator if `offset` is None, else from its counter
-    streams.  Returns the outcome and, per question, the
-    InfeasibleWindowError that stopped it, or None.
+    q of `pe` and table `policy_of[q]` of `tables`, and draws from the
+    counter streams of row q of `keys` (erasure key, coding key).  The
+    active lanes are carried from round to round in lane order.  Returns
+    the outcome and, per question, the InfeasibleWindowError that stopped
+    it, or None.
     """
-    seeds, offset, trials, pe, tables, policy_of, params, field_spec, max_rounds, \
+    keys, offset, trials, pe, tables, policy_of, params, field_spec, max_rounds, \
         start_slot, keep_timeline = args
     (n_q, span), (_, dof, tau) = pe.shape, tables.shape
-    pe, tables, lanes = pe.ravel(), tables.ravel(), n_q * trials
+    tables, lanes, gamma = tables.ravel(), n_q * trials, np.uint64(_GAMMA)
+    # a uniform u = m 2^-53 reaches pe exactly when m >= ceil(pe 2^53)
+    threshold = np.ceil(pe.ravel() * 2.0**53).astype(np.uint64)
     field = None if field_spec is None else field_for(field_spec)
     question = np.repeat(np.arange(n_q), trials)
-    table_base = np.repeat(np.asarray(policy_of) * (dof * tau), trials)
-    if offset is None:
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-    else:
-        rngs = None
-        keys = np.array([_stream_keys(seed) for seed in seeds], dtype=np.uint64)
-        erasure_key, coding_key = keys[question, 0], keys[question, 1]
-        trial_of = offset + np.tile(np.arange(trials), n_q)
-    if field is not None:  # every lane's span, indexed by pivot
+    table_base = np.asarray(policy_of) * (dof * tau)  # of each question
+    trial = np.tile(np.arange(offset, offset + trials), n_q)
+    # a lane's erasure stream: what `_splitmix64` finalizes for its packet
+    # 0, to which packet n adds n * gamma, modulo 2^64
+    stream = (_counters(trial, 0) + np.uint64(1)) * gamma + keys[question, 0]
+    if field is None:
+        trial = None
+    else:  # every lane's span, indexed by pivot, and coding key
         rows = np.zeros((lanes, dof, dof), dtype=field.dtype)
+        coding_key = keys[question, 1]
     errors = [None] * n_q
     out = _Outcome(np.zeros(lanes), np.zeros(lanes, dtype=np.int64),
                    np.zeros(lanes, dtype=np.int64), np.full(lanes, dof),
-                   np.full(lanes, None, dtype=object))
+                   np.full(lanes if keep_timeline else 0, None, dtype=object))
     if keep_timeline:
         for i in range(lanes):
             out.timelines[i] = [dof]
     remaining = out.remaining
     slot = np.full(lanes, start_slot % tau, dtype=np.int64)
+    active = np.arange(lanes)
+    # draw k of a block of lanes, and its hash step k * gamma
+    draw = np.arange(max(DRAW_BLOCK, int(tables.max())))  # a block's draws, at most
+    steps = draw.astype(np.uint64) * gamma
 
     def arrivals(members, nb, first):
         """Whether each packet of the lanes' batches arrives, lane by lane."""
-        at = np.arange(nb.sum())  # packet k of a lane is at first + k
-        if rngs is None:
-            u = _uniforms(np.repeat(erasure_key[members], nb),
-                          np.repeat(trial_of[members], nb),
-                          at + np.repeat(out.packets[members] - first, nb))
-        else:  # each question's lanes, in trial order
-            q = question[members]
-            starts = np.flatnonzero(np.diff(q, prepend=-1))
-            u = np.concatenate([rngs[k].random(n) for k, n in
-                                zip(q[starts], np.add.reduceat(nb, starts))])
+        n = int(nb.sum())  # packet k of a lane is draw first + k of the block
+        # packet n of a lane hashes its stream plus n * gamma, modulo 2^64
+        z = np.repeat(stream[members] + (out.packets[members] - first).astype(np.uint64)
+                      * gamma, nb)
+        z += steps[:n]
+        _finalize(z)
+        z >>= np.uint64(11)  # its uniform times 2^53
         base = question[members] * span + slot[members]  # row q runs on past tau
-        return u >= pe[at + np.repeat(base - first, nb)]
+        at = np.repeat(base - first, nb)  # each draw's place in threshold
+        at += draw[:n]
+        return z >= threshold[at]
 
     for rounds in range(1, max_rounds + 1):
-        active = np.flatnonzero(remaining)
-        batch = tables[table_base[active] + (remaining[active] - 1) * tau
+        batch = tables[table_base[question[active]] + (remaining[active] - 1) * tau
                        + slot[active]].astype(np.int64)
         if not batch.all():  # a question stops at its first trial, in trial
             for i in active[batch == 0]:  # order, in an uncovered window
@@ -298,7 +306,7 @@ def _kernel(args) -> tuple[_Outcome, list]:
                     break
                 i = members[j]
                 packet = out.packets[i] + step[start[j] + k]
-                coefs = _coefficients(coding_key[i], field, trial_of[i], packet, dof)
+                coefs = _coefficients(coding_key[i], field, trial[i], packet, dof)
                 new = absorb_batch(field, rows, i, coefs)
                 remaining[i[new]] -= 1
         out.delay[active] += batch * params.t_p + params.t_w
@@ -308,6 +316,7 @@ def _kernel(args) -> tuple[_Outcome, list]:
         if keep_timeline:
             for i in active:
                 out.timelines[i].append(int(remaining[i]))
+        active = active[remaining[active] > 0]
     return out, errors
 
 
@@ -333,21 +342,20 @@ def run_many(config: SimConfig, questions) -> list:
     for k, policy in enumerate(policies.values()):  # each batch is <= 64 dof
         tables[k] = policy.table(dof, tau)
     policy_of = [list(policies).index(id(policy)) for _, _, policy in questions]
-    seeds = [seed if isinstance(seed, np.random.SeedSequence)
-             else np.random.SeedSequence(seed) for seed, _, _ in questions]
+    keys = np.array([_stream_keys(seed if isinstance(seed, np.random.SeedSequence)
+                                  else np.random.SeedSequence(seed))
+                     for seed, _, _ in questions], dtype=np.uint64)
     # each trace runs on past its end, to the end of the longest batch
     pe = np.stack(pes)[:, np.arange(tau + int(tables.max())) % tau]
     common = (pe, tables, policy_of, config.params, config.field_spec,
               config.max_rounds, config.start_slot, config.record_trials)
-    if config.field_spec is None and not config.record_trials:
-        parts = [_kernel((seeds, None, config.trials) + common)]
-    elif config.workers == 1:
-        parts = [_kernel((seeds, 0, config.trials) + common)]
+    if config.workers == 1:
+        parts = [_kernel((keys, 0, config.trials) + common)]
     else:  # the workers split the trials of every question
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
 
         bounds = np.linspace(0, config.trials, config.workers + 1).astype(int)
-        tasks = [(seeds, a, b - a) + common
+        tasks = [(keys, a, b - a) + common
                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_kernel, tasks))

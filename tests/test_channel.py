@@ -21,10 +21,8 @@ from ncmcast.channel import (
     erasure_prob,
     generate_trace,
     low_height_building_default,
-    read_erasure_trace,
     read_gain_trace,
     to_erasure_trace,
-    write_erasure_trace,
     write_gain_trace,
 )
 
@@ -261,15 +259,6 @@ class TestTraceIO:
         write_gain_trace(path, trace)
         back = read_gain_trace(path)
         assert np.array_equal(back.gains_db, trace.gains_db)
-
-    def test_erasure_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        et = ErasureTrace(rng.random(128))
-        path = tmp_path / "pe.csv"
-        write_erasure_trace(path, et)
-        back = read_erasure_trace(path, eb_n0_db=3.0, bits_per_packet=64)
-        assert np.array_equal(back.pe, et.pe)
-        assert back.eb_n0_db == 3.0
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

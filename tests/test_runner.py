@@ -41,16 +41,14 @@ FULL_SWEEP_SHA256 = {
 }
 
 # SHA-256 of Monte Carlo results CSVs of geo-trend-demo at 7.0 dB on the
-# scenario's seed: RLNC decoding on every scheme (per-trial counter streams),
-# and nc/anc under idealized decoding (one generator per run, one receiver
-# at a time).  A change to the simulator must leave these bytes as they are.
-# Ideal maxpe/maxct cells are left out, so that a change in the order of
-# their draws, which the statistical tests cover, re-records no hash.
+# scenario's seed, every scheme, under RLNC and under idealized decoding.
+# Every trial draws from its counter streams, so a change to the simulator
+# must leave these bytes as they are.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
              "feb919d2d1d00181062f9a2a7024205c7d1f436be0acc118c42c2e5f431506d5"),
-    "ideal-nc-anc": (dict(trials=2000, schemes=["nc", "anc"]),
-                     "c7018e22a3f6209f842ddb78936e5003f88ae58f55f539665f7b8ad734dbd4e8"),
+    "ideal": (dict(trials=2000),
+              "6ce06e918a3070258e4efc6977bcae7757b432bba301724f80539dfb4333db64"),
 }
 
 # SHA-256 of the GF(2^4) trial records of one anc receiver, then of each
@@ -272,7 +270,8 @@ def test_small_field_trial_records_are_byte_identical():
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FIELD_RECORDS_SHA256
 
 
-def test_workers_split_trials_with_one_pool_per_point(monkeypatch):
+@pytest.mark.parametrize("decoding", ["ideal", "rlnc"])
+def test_workers_split_trials_with_one_pool_per_point(monkeypatch, decoding):
     """--workers splits every question's trials, so rows do not depend on
     it, and a Monte Carlo point starts one process pool for all of them."""
     import concurrent.futures
@@ -285,7 +284,7 @@ def test_workers_split_trials_with_one_pool_per_point(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    scenario = point("geo-trend-demo.yaml", 7.0, trials=30, decoding="rlnc")
+    scenario = point("geo-trend-demo.yaml", 7.0, trials=30, decoding=decoding)
     serial = run_scenario(scenario, engine="montecarlo", workers=1)
     assert pools == []
     assert run_scenario(scenario, engine="montecarlo", workers=2) == serial
