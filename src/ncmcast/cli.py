@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-traces (write per-receiver channel traces plus a
-manifest), run (sweep all requested cells into a results CSV), report
-(tables and figure series from a results CSV), selfcheck (fast invariant
-gate).
+manifest), run (sweep all requested cells into a results CSV) and report
+(tables and figure series from a results CSV).
 
 Exit codes: 0 success, 2 configuration error, 3 every requested model
 cell infeasible, 4 report input empty or cells missing.
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +23,6 @@ from . import report as report_mod
 from . import runner
 from .channel import write_gain_trace
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_dict
-from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,19 +106,6 @@ def cmd_report(results_path: str, scenario: Scenario, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_selfcheck() -> int:
-    t0 = time.perf_counter()
-    results = run_selfcheck()
-    failed = 0
-    for res in results:
-        mark = "PASS" if res.passed else "FAIL"
-        print(f"[{mark}] {res.name}: {res.detail}")
-        failed += not res.passed
-    print(f"selfcheck finished in {time.perf_counter() - t0:.1f} s, "
-          f"{len(results) - failed}/{len(results)} checks passed")
-    return EXIT_OK if failed == 0 else 1
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -155,15 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", help="results CSV from the run command")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output directory")
-
-    sub.add_parser("selfcheck", help="run the fast invariant corpus")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selfcheck":
-        return cmd_selfcheck()
     try:
         scenario = load_scenario(args.scenario)
         if getattr(args, "seed", None) is not None:

@@ -59,18 +59,6 @@ class GF2m:
 
     # -- setup ---------------------------------------------------------
 
-    def _poly_mul_int(self, a: int, b: int) -> int:
-        """Scalar multiply by shift-and-xor, reducing modulo the polynomial."""
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.q:
-                a ^= self.poly
-        return result
-
     def _build_tables(self):
         # log[0] = 2(q - 1) and exp is zero from 2(q - 1) on, so a sum of
         # logs with any zero operand lands in the zero region: one gather
@@ -94,11 +82,6 @@ class GF2m:
         self._prod = exp[log[:, None] + log].ravel() if self.m <= 8 else None
 
     # -- element ops ---------------------------------------------------
-
-    def add(self, a, b):
-        """a + b (XOR)."""
-        out = np.bitwise_xor(np.asarray(a, self.dtype), np.asarray(b, self.dtype))
-        return int(out) if out.ndim == 0 else out
 
     def mul(self, a, b):
         """a * b, broadcasting over array arguments."""

@@ -24,6 +24,8 @@ from .channel import (
 from .simkit import DECODINGS, MAX_TRIALS
 
 SCHEMES = ("nc", "anc", "maxpe", "maxct")
+_INT_FIELDS = ("receivers", "dof", "ack_slot_advance", "bits_per_packet",
+               "trace_length", "start_slot", "seed", "trials")
 
 
 class ScenarioError(ValueError):
@@ -51,6 +53,11 @@ class Scenario:
     trace_files: list[str] | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            # bool is an int subclass; a float would index or size arrays
+            if type(value) is not int:
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         if self.receivers < 1:
             raise ScenarioError("receivers must be >= 1")
         if self.dof < 1:
@@ -85,7 +92,8 @@ class Scenario:
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
         if self.trace_files is not None and (
-                len(self.trace_files) != self.receivers
+                not isinstance(self.trace_files, list)
+                or len(self.trace_files) != self.receivers
                 or not all(isinstance(f, str) for f in self.trace_files)):
             raise ScenarioError("trace_files must list one file path per receiver")
 

@@ -182,6 +182,15 @@ class TestRun:
         assert f"config error: unknown {key} '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_scenario_field_exits_two(self, small_scenario, tmp_path,
+                                                  capsys):
+        _, spath = small_scenario
+        spath.write_text(spath.read_text().replace("seed: 11", "seed: 1.5"))
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--scenario", spath, "--out", out) == 2
+        assert "config error: seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("run", "--scenario", tmp_path / "none.yaml",
                        "--out", tmp_path / "x.csv") == 2
@@ -415,11 +424,3 @@ class TestReport:
         assert run_cli("report", results, "--scenario", spath, "--out", out) == 0
         table = (out / "table-i.md").read_text()
         assert "NA" not in table.split("\n")[2]
-
-
-class TestSelfcheckCommand:
-    def test_passes_on_fresh_tree(self, capsys):
-        assert run_cli("selfcheck") == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
-        assert "[FAIL]" not in out

@@ -183,9 +183,10 @@ class TestSolve:
 
     def test_zero_erasure_closed_form_residual(self):
         pe = np.zeros(7)
-        model = CompletionModel(pe, GEO, AdaptivePolicy(pe))
         expected = GEO.dof * GEO.t_p + GEO.t_w
-        assert abs(model.expected_time() - expected) <= 1e-12
+        for policy in (AdaptivePolicy(pe), NonAdaptivePolicy()):
+            model = CompletionModel(pe, GEO, policy)
+            assert abs(model.expected_time() - expected) <= 1e-12
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(15)

@@ -12,22 +12,12 @@ def test_field_spec_validation():
             FieldSpec(bad)
 
 
-def test_add_is_xor():
-    gf = GF2m(8)
-    a = np.arange(256, dtype=np.uint8)
-    assert np.array_equal(gf.add(a, a), np.zeros(256, np.uint8))
-    assert np.array_equal(gf.add(a, 0), a)
-    assert gf.add(0b1010, 0b0110) == 0b1100
-
-
 @pytest.mark.parametrize("m", [4, 8])
 def test_mul_matches_reference_poly_mul(m):
     gf = GF2m(m)
     a = np.arange(gf.q, dtype=gf.dtype)
     table = gf.mul(a[:, None], a[None, :])
-    for x in range(gf.q):
-        for y in range(gf.q):
-            assert table[x, y] == gf._poly_mul_int(x, y)
+    assert np.array_equal(table, gf.mul_carryless(a[:, None], a[None, :]))
 
 
 def test_mul_m16_matches_reference_on_sample():
@@ -35,9 +25,7 @@ def test_mul_m16_matches_reference_on_sample():
     rng = np.random.default_rng(1)
     a = rng.integers(0, gf.q, 2000, dtype=np.uint16)
     b = rng.integers(0, gf.q, 2000, dtype=np.uint16)
-    got = gf.mul(a, b)
-    for x, y, z in zip(a, b, got):
-        assert z == gf._poly_mul_int(int(x), int(y))
+    assert np.array_equal(gf.mul(a, b), gf.mul_carryless(a, b))
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -69,6 +57,7 @@ def test_field_axioms_m16_sampled():
     rng = np.random.default_rng(2)
     n = 100_000
     x, y, z = (rng.integers(0, gf.q, n, dtype=np.uint16) for _ in range(3))
+    assert np.array_equal(gf.mul(x, y), gf.mul(y, x))
     assert np.array_equal(gf.mul(gf.mul(x, y), z), gf.mul(x, gf.mul(y, z)))
     assert np.array_equal(
         gf.mul(x, y ^ z), gf.mul(x, y) ^ gf.mul(x, z)
@@ -124,4 +113,4 @@ def test_mul_at_largest_logs_matches_carryless(m):
     assert gf.mul(top, top) == gf.mul_carryless(top, top)
     assert gf.mul(top, gf.inv(top)) == 1
     for other in (0, 1, top):
-        assert gf.mul(top, other) == gf._poly_mul_int(top, other)
+        assert gf.mul(top, other) == gf.mul_carryless(top, other)

@@ -126,3 +126,18 @@ def test_trace_files_resolve_against_the_scenario_file(tmp_path, monkeypatch):
 def test_trace_files_must_be_paths():
     with pytest.raises(ScenarioError, match="trace_files"):
         Scenario(receivers=2, trace_files=["a.csv", 5])
+    # a string of receiver-count length passes the length check
+    with pytest.raises(ScenarioError, match="trace_files"):
+        Scenario(receivers=2, trace_files="ab")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("receivers", "2.0"), ("dof", "2.5"), ("ack_slot_advance", "0.5"),
+    ("bits_per_packet", "100.5"), ("trace_length", "50.5"), ("start_slot", "1.5"),
+    ("seed", "1.5"), ("seed", "true"), ("trials", "10.0"), ("dof", "false"),
+])
+def test_non_integer_field_rejected_on_load(tmp_path, key, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"{key}: {value}\n")
+    with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+        load_scenario(path)
