@@ -16,6 +16,7 @@ and so would move the erasure traces' bytes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -50,10 +51,11 @@ class StateParams:
     def __post_init__(self):
         if not math.isfinite(self.mean_gain_db):
             raise ParameterError("mean_gain_db must be finite")
-        if self.shadow_std_db < 0:
-            raise ParameterError("shadow_std_db must be >= 0")
-        if self.correlation_distance_m <= 0:
-            raise ParameterError("correlation_distance_m must be > 0")
+        if not (math.isfinite(self.shadow_std_db) and self.shadow_std_db >= 0):
+            raise ParameterError("shadow_std_db must be finite and >= 0")
+        if not (math.isfinite(self.correlation_distance_m)
+                and self.correlation_distance_m > 0):
+            raise ParameterError("correlation_distance_m must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,13 @@ class LmsParams:
         t = np.asarray(self.transition, dtype=float)
         if t.shape != (3, 3):
             raise ParameterError("transition matrix must be 3x3")
-        if np.any(t < 0):
+        if not np.all(t >= 0):
             raise ParameterError("transition probabilities must be >= 0")
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ParameterError("transition matrix rows must sum to 1")
         object.__setattr__(self, "transition", t)
-        if self.speed_mps <= 0:
-            raise ParameterError("speed_mps must be > 0")
+        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0):
+            raise ParameterError("speed_mps must be finite and > 0")
 
     @property
     def states(self) -> tuple[StateParams, StateParams, StateParams]:
@@ -161,32 +163,27 @@ def generate_trace(params: LmsParams, initial_state: str, length: int, seed,
         raise ParameterError(f"initial_state must be one of {STATE_NAMES}")
     rng = np.random.default_rng(seed)
 
-    means = np.array([s.mean_gain_db for s in params.states])
-    stds = np.array([s.shadow_std_db for s in params.states])
-    rhos = np.array(
-        [
-            math.exp(-params.speed_mps * slot_duration / s.correlation_distance_m)
-            for s in params.states
-        ]
-    )
-    ar_scale = np.sqrt(1.0 - rhos**2)
-    cum = np.cumsum(params.transition, axis=1)
+    # the per-slot loop runs on Python floats: the same IEEE operations as
+    # on NumPy scalars, so the same bits, without NumPy's per-call cost
+    means = [float(s.mean_gain_db) for s in params.states]
+    stds = [float(s.shadow_std_db) for s in params.states]
+    rhos = [math.exp(-params.speed_mps * slot_duration / s.correlation_distance_m)
+            for s in params.states]
+    ar_scale = [math.sqrt(1.0 - rho * rho) for rho in rhos]
+    cum = np.cumsum(params.transition, axis=1).tolist()
 
-    u_state = rng.random(length)
-    innovations = rng.standard_normal(length)
+    u_state = rng.random(length).tolist()
+    innovations = rng.standard_normal(length).tolist()
 
-    states = np.empty(length, dtype=np.int8)
-    gains = np.empty(length, dtype=float)
+    gains = [0.0] * length
     state = STATE_NAMES.index(initial_state)
     shadow = innovations[0]
-    states[0] = state
     gains[0] = means[state] + stds[state] * shadow
     for t in range(1, length):
-        state = int(np.searchsorted(cum[state], u_state[t], side="right"))
-        state = min(state, 2)
+        state = min(bisect.bisect_right(cum[state], u_state[t]), 2)
         shadow = rhos[state] * shadow + ar_scale[state] * innovations[t]
-        states[t] = state
         gains[t] = means[state] + stds[state] * shadow
+    gains = np.array(gains)
     return ChannelTrace(gains, slot_duration=slot_duration, receiver_id=receiver_id)
 
 

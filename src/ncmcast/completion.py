@@ -19,6 +19,7 @@ received packet is innovative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class ModelParams:
     def __post_init__(self):
         if self.dof < 1:
             raise ValueError("dof must be >= 1")
+        if not (math.isfinite(self.t_p) and math.isfinite(self.t_w)):
+            raise ValueError("t_p and t_w must be finite")
         if self.t_p <= 0:
             raise ValueError("t_p must be > 0")
         if self.t_w < 0:
@@ -174,35 +177,51 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     """anc_batch_size for every (remaining, start slot), 0 where infeasible.
 
     Entry [r-1, j] is the least N covering r degrees of freedom from slot
-    j, or 0 when no N <= 64*r does.  Each slot's row of partial sums over
-    64*dof slots is one sequential cumulative sum, bit-identical to the
-    scalar rule's shorter sum on its prefix.  A sum is below r exactly
-    when its floor is (the sums are nonnegative, so truncation is the
-    floor), and the floors never decrease along a row, so offsetting each
-    row's floors past the previous row's lets one sorted search find
-    every row's count of sums below r: the scalar rule's search position.
-    Slots go through in blocks of about 256 KiB of partial sums, which
-    stay in cache.
+    j, or 0 when no N <= 64*r does.  A slot's partial sums of received
+    packets go in chunks of 64, and each chunk's cumulative sum starts
+    from the previous chunk's last sum: the same sequential sum as the
+    scalar rule's, so bit-identical.  The sums never decrease, so chunk c
+    (N from 64c+1 to 64c+64) decides each row r > c whose sum first
+    reaches r there, and with it the cap of row c+1.  A slot is summed on
+    only while its last sum is below dof, so a slot needs as many chunks
+    as its largest batch does.  A sum is below r exactly when its floor
+    is (the sums are nonnegative, so truncation is the floor), so
+    offsetting each slot's floors past the previous slot's lets one
+    sorted search count every row's sums below r.  Slots go through in
+    blocks of 512, whose chunk sums take 256 KiB and stay in cache.
     """
     tau = pe.size
-    window = 64 * dof
-    received = np.tile(1.0 - pe, -(-(window + tau) // tau))
-    windows = sliding_window_view(received, window)[:tau]
-    block = max(1, (1 << 18) // (8 * window))
-    need = np.arange(1, dof + 1)[:, None]
-    table = np.empty((dof, tau), dtype=np.int64)
+    received = np.tile(1.0 - pe, -(-(64 * dof + tau) // tau))
+    chunks = sliding_window_view(received, 64)
+    span = 64 * dof + 1  # above every floor and every r
+    table = np.zeros((dof, tau), dtype=np.int64)
     # two block buffers per table, reused: a new array this large per
     # block is often a new memory mapping, page-faulted in again
-    sums = np.empty((min(block, tau), window))
+    block = min(512, tau)
+    sums = np.empty((block, 64))
     floors = np.empty(sums.shape, dtype=np.int64)
     for lo in range(0, tau, block):
-        n = min(block, tau - lo)
-        np.cumsum(windows[lo:lo + n], axis=1, out=sums[:n])
-        rows = np.arange(n)
-        np.copyto(floors[:n], sums[:n], casting="unsafe")
-        floors[:n] += (window + 1) * rows[:, None]
-        pos = floors[:n].ravel().searchsorted((window + 1) * rows + need) - window * rows
-        table[:, lo:lo + n] = np.where(pos < 64 * need, pos + 1, 0)
+        slots = np.arange(lo, min(lo + block, tau))
+        carry = np.zeros(slots.size)
+        for c in range(dof):
+            n = slots.size
+            if c:
+                np.take(chunks, slots + 64 * c, axis=0, out=sums[:n], mode="clip")
+                sums[:n, 0] += carry
+                np.cumsum(sums[:n], axis=1, out=sums[:n])
+            else:  # every slot of the block, read in place
+                np.cumsum(chunks[lo:lo + n], axis=1, out=sums[:n])
+            rows = np.arange(n)[:, None]
+            np.copyto(floors[:n], sums[:n], casting="unsafe")
+            floors[:n] += span * rows
+            need = np.arange(c + 1, dof + 1)
+            below = floors[:n].ravel().searchsorted(span * rows + need) - 64 * rows
+            hit = (below < 64) & (carry[:, None] < need)
+            table[c:, slots] += np.where(hit, 64 * c + 1 + below, 0).T
+            undecided = sums[:n, -1] < dof
+            slots, carry = slots[undecided], sums[:n, -1][undecided]
+            if not slots.size:
+                break
     return table
 
 

@@ -8,6 +8,7 @@ file alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,9 @@ class Scenario:
             raise ScenarioError("receivers must be >= 1")
         if self.dof < 1:
             raise ScenarioError("dof must be >= 1")
+        for name in ("packet_time_s", "ack_wait_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         if self.packet_time_s <= 0 or self.ack_wait_s < 0:
             raise ScenarioError("timing constants must be positive")
         if self.ack_slot_advance < 0:
@@ -73,6 +77,8 @@ class Scenario:
         if not self.eb_n0_db:
             raise ScenarioError("eb_n0_db sweep must be nonempty")
         self.eb_n0_db = [float(x) for x in self.eb_n0_db]
+        if not all(map(math.isfinite, self.eb_n0_db)):
+            raise ScenarioError("eb_n0_db points must be finite")
         repeated = sorted({x for x in self.eb_n0_db if self.eb_n0_db.count(x) > 1})
         if repeated:
             raise ScenarioError(f"eb_n0_db repeats {repeated}")
@@ -130,7 +136,7 @@ def _lms_from_dict(data: dict) -> LmsParams:
             transition=np.asarray(data["transition"], dtype=float),
             speed_mps=float(data["speed_mps"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid lms section: {exc}") from exc
 
 

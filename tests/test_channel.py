@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -102,6 +103,20 @@ class TestGenerateTrace:
         assert np.array_equal(a.gains_db, b.gains_db)
         c = generate_trace(lms, "moderate", 400, seed=43)
         assert not np.array_equal(a.gains_db, c.gains_db)
+
+    @pytest.mark.parametrize("state, digest", [
+        ("los", "d1fc617ffda3dc6930ab139de4a4ab4d1c09a38a9b52c6be32eb30faeb8d08b2"),
+        ("moderate", "73733e41ad5b9018f9e5cac7c67bbc031c860f04f794828e216044860e20db40"),
+        ("deep", "8763f1b64eb67e00d5700ece8a0a424e6cd3b5cb117da1c78935f07f654e587b"),
+    ])
+    def test_gains_bytes_pinned(self, state, digest):
+        # frequent transitions, so every state's mean, spread and
+        # correlation enter the recorded bytes
+        lms = low_height_building_default()
+        mixing = LmsParams(lms.los, lms.moderate, lms.deep, np.array(
+            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]), lms.speed_mps)
+        trace = generate_trace(mixing, state, 1000, seed=7)
+        assert hashlib.sha256(trace.gains_db.tobytes()).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ParameterError):

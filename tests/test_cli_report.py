@@ -191,6 +191,24 @@ class TestRun:
         assert "config error: seed must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("key, value", [("packet_time_s", float("nan")),
+                                            ("ack_wait_s", float("inf")),
+                                            ("eb_n0_db", [float("nan")])])
+    def test_non_finite_scenario_float_exits_two(self, small_scenario, tmp_path,
+                                                 capsys, engine, key, value):
+        import yaml
+
+        _, spath = small_scenario
+        data = yaml.safe_load(spath.read_text())
+        data[key] = value
+        spath.write_text(yaml.safe_dump(data))
+        out = tmp_path / "x.csv"
+        code = run_cli("run", "--scenario", spath, "--engine", engine, "--out", out)
+        assert code == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert run_cli("run", "--scenario", tmp_path / "none.yaml",
                        "--out", tmp_path / "x.csv") == 2

@@ -325,11 +325,51 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(dof=1, t_p=1.0, t_w=0.0, ack_slot_advance=-1)
 
+    @pytest.mark.parametrize("t_p, t_w", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                          (1.0, float("nan")), (1.0, float("inf"))])
+    def test_non_finite_times_rejected(self, t_p, t_w):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(dof=1, t_p=t_p, t_w=t_w)
+
 
 # Repeated tenths and quarters make cumulative sums land near integers.
 erasure = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9]),
                     st.floats(0.0, 1.0))
 traces = st.lists(erasure, min_size=1, max_size=24).map(np.array)
+
+
+def scalar_table(pe, dof):
+    """anc_batch_size at every (remaining, slot), 0 where it raises."""
+    table = np.zeros((dof, pe.size), dtype=np.int64)
+    for r, j in itertools.product(range(1, dof + 1), range(pe.size)):
+        try:
+            table[r - 1, j] = anc_batch_size(pe, j, r)
+        except InfeasibleWindowError:
+            pass
+    return table
+
+
+def reaching(tau, r, n):
+    """A trace on which the r-th expected reception from slot 0 falls on
+    packet n, or None.
+
+    A slot receives w = 2^-k of a packet, or w * 2^-12 (at most 640 of
+    them add up to less than w), so every partial sum is exact and the
+    (r/w)-th w-slot decides the entry.  Write n - 1 = q*tau + m: a w-slots
+    ending at slot m and b right after it put (q + 1)*a + q*b of them in
+    the first n packets.
+    """
+    q, m = divmod(n - 1, tau)
+    for k in range(7):
+        w = 2.0**-k
+        need = r << k
+        for a in range(1, min(need, m + 1) + 1):
+            b, rest = divmod(need - (q + 1) * a, q) if q else (0, need - a)
+            if rest == 0 and 0 <= b < tau - m:
+                pe = np.full(tau, 1.0 - w * 2.0**-12)
+                pe[m - a + 1:m + 1 + b] = 1.0 - w
+                return pe
+    return None
 
 
 class TestSizingTable:
@@ -349,6 +389,23 @@ class TestSizingTable:
                     assert (exc.start_slot, exc.remaining) == (j, r)
                 else:
                     assert table[r - 1, j] == want
+
+    @pytest.mark.parametrize("tau", [48, 100])
+    def test_table_at_chunk_edges(self, tau):
+        # partial sums go in chunks of 64: put the r-th reception on each
+        # side of a chunk edge, on the cap 64*r and one packet past it;
+        # at tau 48 every window wraps the trace several times
+        placed = set()
+        for r in range(1, 11):
+            for n in (63, 64, 65, 128, 129, 64 * r, 64 * r + 1):
+                pe = reaching(tau, r, n)
+                if pe is None:
+                    continue
+                placed.add({64 * r: "cap", 64 * r + 1: "past"}.get(n, n))
+                table = AdaptivePolicy(pe).table(10, tau)
+                assert table[r - 1, 0] == (n if n <= 64 * r else 0)
+                assert np.array_equal(table, scalar_table(pe, 10))
+        assert placed == {63, 64, 65, 128, 129, "cap", "past"}
 
     @settings(max_examples=60, deadline=None)
     @given(pe=traces, dof=st.integers(1, 5))
@@ -474,13 +531,6 @@ class TestOnePassSolve:
         assert completion._solve_level(b, c, successor) == want
 
     def test_sizing_table_equals_scalar_rule_across_blocks(self):
-        # 64*10 partial sums per slot: about 200 slots fill one block
-        pe = np.random.default_rng(5).random(450) ** 3
-        table = AdaptivePolicy(pe).table(10, pe.size)
-        for r in range(1, 11):
-            for j in range(pe.size):
-                try:
-                    want = anc_batch_size(pe, j, r)
-                except InfeasibleWindowError:
-                    want = 0
-                assert table[r - 1, j] == want
+        # 512 slots fill one block
+        pe = np.random.default_rng(5).random(1100) ** 3
+        assert np.array_equal(AdaptivePolicy(pe).table(10, pe.size), scalar_table(pe, 10))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from ncmcast.scenario import (
     Scenario,
@@ -141,3 +142,33 @@ def test_non_integer_field_rejected_on_load(tmp_path, key, value):
     path.write_text(f"{key}: {value}\n")
     with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("packet_time_s", ".nan"), ("packet_time_s", ".inf"), ("ack_wait_s", ".nan"),
+    ("ack_wait_s", ".inf"), ("eb_n0_db", "[.nan]"), ("eb_n0_db", "[7.0, .inf]"),
+    ("eb_n0_db", "[-.inf]"),
+])
+def test_non_finite_float_rejected_on_load(tmp_path, key, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"{key}: {value}\n")
+    with pytest.raises(ScenarioError, match=f"{key}.* must be finite"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("los", "shadow_std_db"), float("nan")), (("los", "shadow_std_db"), -1.0),
+    (("deep", "correlation_distance_m"), float("inf")),
+    (("moderate", "mean_gain_db"), float("nan")), (("speed_mps",), float("nan")),
+    (("transition",), [[float("nan"), 0.5, 0.5], [0, 1, 0], [0, 0, 1]]),
+])
+def test_invalid_lms_value_rejected_on_load(tmp_path, path, value):
+    data = scenario_to_dict(Scenario())
+    section = data["lms"]
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    file = tmp_path / "s.yaml"
+    file.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError, match="invalid lms section"):
+        load_scenario(file)
