@@ -20,6 +20,7 @@ from .channel import (
 from .completion import (
     AdaptivePolicy,
     CompletionModel,
+    ErasedCycleError,
     InfeasibleModelError,
     InfeasibleWindowError,
     ModelParams,
@@ -38,6 +39,7 @@ __all__ = [
     "AdaptivePolicy",
     "ChannelTrace",
     "CompletionModel",
+    "ErasedCycleError",
     "ErasureTrace",
     "FieldSpec",
     "GF2m",

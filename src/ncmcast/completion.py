@@ -10,11 +10,14 @@ adaptive (cover the deficit in expectation using a sizing trace).
 The expected-cost equations are linear and block-triangular in the
 remaining-DoF level; within a level each state couples to exactly one
 other state, so levels solve exactly by resolving the cycles of that
-successor map and back-substituting.  One fold of per-slot success
-counts gives the batch outcomes of every level, and each level is one
-walk of its successor map for the three right-hand sides: time, time
-at zero acknowledgment wait, and rounds.  Decoding is idealized: every
-received packet is innovative.
+successor map and back-substituting.  A model is settled before its
+fold: it is infeasible when some state has no covering window
+(InfeasibleWindowError) or can never leave fully erased batch windows
+(ErasedCycleError), each naming the first such state.  One fold of
+per-slot success counts gives the batch outcomes of every level, and
+each level is one walk of its successor map for the three right-hand
+sides: time, time at zero acknowledgment wait, and rounds.  Decoding is
+idealized: every received packet is innovative.
 """
 
 from __future__ import annotations
@@ -45,6 +48,22 @@ class InfeasibleWindowError(InfeasibleModelError):
 
     def __reduce__(self):
         # a Monte Carlo worker process sends the error back pickled
+        return type(self), (self.start_slot, self.remaining)
+
+
+class ErasedCycleError(InfeasibleModelError):
+    """From this state every batch window, round after round, is fully erased."""
+
+    def __init__(self, start_slot: int, remaining: int):
+        super().__init__(
+            f"from slot {start_slot} with {remaining} degrees of freedom "
+            f"missing, every batch window, round after round, is fully "
+            f"erased; completion is unreachable"
+        )
+        self.start_slot = start_slot
+        self.remaining = remaining
+
+    def __reduce__(self):
         return type(self), (self.start_slot, self.remaining)
 
 
@@ -119,10 +138,10 @@ def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
     counts serves every level: count c sits in column rows-1-c, where
     rows = table.shape[0], and each level takes a snapshot of the counts
     once its own batch has been sent.  Each step is the same two
-    products and one add as batch_distribution, so the entries are
-    bit-identical; the absorbed deficit 0 is not kept.  Slots are
-    stepped in order of their largest batch, so the ones still sending
-    are a leading block.
+    products and one add as batch_distribution, done in place on the
+    counts that can be nonzero, so the entries are bit-identical; the
+    absorbed deficit 0 is not kept.  Slots are stepped in order of their
+    largest batch, so the ones still sending are a leading block.
     """
     rows, tau = table.shape
     last = table.max(axis=0, initial=0)
@@ -135,17 +154,20 @@ def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
     # flat (level, slot) entries by batch size; batch k is events[bounds[k]:bounds[k+1]]
     events = np.argsort(table, axis=None, kind="stable")
     bounds = np.searchsorted(table.ravel()[events], np.arange(steps + 2))
+    pe = np.resize(pe, tau + steps)  # run on past the end: slot j + k - 1, no modulo
     counts = np.zeros((tau, rows))
     counts[:, -1:] = 1.0  # no successes yet; empty when no level is covered
     snaps = np.empty((rows, tau, rows))
     for k in range(1, steps + 1):
         n = sending[k - 1]
-        sub = counts[:n]
-        e = pe[(order[:n] + (k - 1)) % tau][:, None]
+        # after k packets only counts 0..k can be nonzero; the columns to
+        # the left stay 0 (0*e + 0*s), so the step leaves them alone
+        live = counts[:n, max(rows - 1 - k, 0):]
+        e = pe[order[:n] + (k - 1)][:, None]
         s = 1.0 - e
-        nxt = sub * e
-        nxt[:, :-1] += sub[:, 1:] * s
-        counts[:n] = nxt
+        gain = live[:, 1:] * s
+        live *= e
+        live[:, :-1] += gain
         level, slot = np.divmod(events[bounds[k]:bounds[k + 1]], tau)
         snaps[level, slot] = counts[where[slot]]
     return snaps
@@ -191,6 +213,8 @@ def _sizing_table(pe: np.ndarray, dof: int) -> np.ndarray:
     blocks of 512, whose chunk sums take 256 KiB and stay in cache.
     """
     tau = pe.size
+    if (pe == 1.0).all():  # nothing is ever received, so no window is covered
+        return np.zeros((dof, tau), dtype=np.int64)
     received = np.tile(1.0 - pe, -(-(64 * dof + tau) // tau))
     chunks = sliding_window_view(received, 64)
     span = 64 * dof + 1  # above every floor and every r
@@ -250,10 +274,14 @@ class AdaptivePolicy:
         """Batch for r = 1..dof deficits (rows) at every slot (columns).
 
         Slot j reads the sizing trace at j mod its length; 0 marks a
-        window no batch within 64*r covers.
+        window no batch within 64*r covers.  At the sizing trace's own
+        length this is a read-only view of the policy's table.
         """
         if dof > self._table.shape[0]:
             self._table = _sizing_table(self.sizing_pe, dof)
+            self._table.flags.writeable = False
+        if tau == self.sizing_pe.size:
+            return self._table[:dof]
         return self._table[:dof, np.arange(tau) % self.sizing_pe.size]
 
 
@@ -312,18 +340,61 @@ def _solve_level(b: list, c: list, successor: list) -> list:
     return [T0, T1, T2]
 
 
+def _erased_cycle_state(pe: np.ndarray, table: np.ndarray, ack: int):
+    """The first (slot, deficit) state, level-major, whose chain of fully
+    erased batch windows never ends, or None.
+
+    A window is fully erased when every slot in it has pe == 1.0 exactly;
+    only then is its stay probability exactly 1.0, the case in which the
+    walk of _solve_level finds a cycle it cannot resolve.  Such a window
+    starts on an erased slot, so each level looks only at those.  Among a
+    level's erased windows, a chain ends when it steps to a state whose
+    window is not fully erased (an exit, numbered m); pointer doubling
+    follows every chain at least m steps at once, so a state that has not
+    reached the exit by then never will.
+    """
+    is_erased = pe == 1.0
+    erased = np.flatnonzero(is_erased)
+    if not erased.size:
+        return None
+    tau = pe.size
+    # prefix[i]: erased slots among the first i of the trace run on past its end
+    prefix = np.concatenate(([0], np.cumsum(np.resize(is_erased, tau + int(table.max())))))
+    for r, batches in enumerate(table, 1):
+        n = batches[erased]
+        full = prefix[erased + n] - prefix[erased] == n
+        states, n = erased[full], n[full]
+        m = states.size
+        if not m:
+            continue
+        successor = (states + n + ack) % tau
+        at = np.minimum(np.searchsorted(states, successor), m - 1)
+        step = np.append(np.where(states[at] == successor, at, m), m)
+        span = 1
+        while span < m:
+            step = step[step]
+            span *= 2
+        stuck = np.flatnonzero(step[:m] != m)
+        if stuck.size:
+            return int(states[stuck[0]]), r
+    return None
+
+
 def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     """Expected accumulated per-round costs until absorption, per state.
 
     Returns an array of shape (3, dof+1, tau), one backward solve with
     three right-hand sides for a round of N packets: [0] the time
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
-    Row 0 of each is the absorbed level.  A window the table leaves
-    uncovered raises before any solve, at the first in level-major
-    order.  Level 1 is checked first from a one-row table, the full
-    table's first row, so a model uncovered there builds no other row.
-    One fold gives the batch outcomes of every level, and each level is
-    one walk for all three right-hand sides.
+    Row 0 of each is the absorbed level.  A model is settled before its
+    fold: a window the table leaves uncovered raises
+    InfeasibleWindowError at the first in level-major order, and then a
+    state that can never leave fully erased windows raises
+    ErasedCycleError at the first such.  Level 1 is checked first from a
+    one-row table, the full table's first row, so a model uncovered
+    there builds no other row.  One fold gives the batch outcomes of
+    every level, and each level is one walk for all three right-hand
+    sides.
     """
     tau = pe.size
     dof = params.dof
@@ -334,6 +405,9 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
         if zeros.size:
             level, slot = divmod(int(zeros[0]), tau)
             raise InfeasibleWindowError(slot, level + 1)
+    stuck = _erased_cycle_state(pe, table, ack)
+    if stuck is not None:
+        raise ErasedCycleError(*stuck)
     dists = _level_distributions(pe, table)
     T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)
@@ -345,13 +419,12 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
         sent = batches * params.t_p
         b = np.stack((sent + params.t_w, sent, np.ones(tau)))
         if r > 1:
-            for k in range(3):
-                b[k] += np.einsum("jl,lj->j", dist[:, :-1], T[k][1:r, successor])
-        level = np.array(_solve_level(b.tolist(), c.tolist(), successor.tolist()))
+            b += np.einsum("jl,klj->kj", dist[:, :-1], T[:, 1:r, successor])
+        T[:, r] = _solve_level(b.tolist(), c.tolist(), successor.tolist())
+        level = T[:, r]
         resid = np.abs(level - (b + c * level[:, successor]))
         if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
             raise ArithmeticError("expected-cost solve residual out of tolerance")
-        T[:, r] = level
     return T
 
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ncmcast import completion
 from ncmcast.completion import (
     AdaptivePolicy,
     CompletionModel,
+    ErasedCycleError,
     InfeasibleModelError,
     InfeasibleWindowError,
     ModelParams,
@@ -258,8 +260,9 @@ class TestSolve:
         pe = np.ones(4)
         with pytest.raises(InfeasibleWindowError):
             CompletionModel(pe, ModelParams(2, 1.0, 1.0), AdaptivePolicy(pe)).solve()
-        with pytest.raises(InfeasibleModelError):
+        with pytest.raises(ErasedCycleError) as err:
             CompletionModel(pe, ModelParams(2, 1.0, 1.0), NonAdaptivePolicy()).solve()
+        assert (err.value.start_slot, err.value.remaining) == (0, 1)
 
     def test_erased_cycle_infeasible_nonadaptive(self):
         # single-packet batches starting at slot 0 advance two slots per
@@ -267,8 +270,16 @@ class TestSolve:
         pe = np.array([1.0, 0.0, 1.0, 0.0])
         params = ModelParams(dof=1, t_p=1.0, t_w=0.0, ack_slot_advance=1)
         model = CompletionModel(pe, params, NonAdaptivePolicy())
-        with pytest.raises(InfeasibleModelError):
+        with pytest.raises(ErasedCycleError) as err:
             model.solve()
+        assert (err.value.start_slot, err.value.remaining) == (0, 1)
+        assert "slot 0 with 1 degrees of freedom" in str(err.value)
+
+    def test_erased_cycle_error_pickles_with_its_state(self):
+        err = pickle.loads(pickle.dumps(ErasedCycleError(3, 2)))
+        assert type(err) is ErasedCycleError
+        assert (err.start_slot, err.remaining) == (3, 2)
+        assert str(err) == str(ErasedCycleError(3, 2))
 
     def test_adaptive_rounds_never_exceed_nonadaptive(self):
         rng = np.random.default_rng(18)
@@ -417,14 +428,20 @@ class TestSizingTable:
         if zeros.size == 0:
             return
         r, j = zeros[0] + (1, 0)
-        try:
+        # every zero is checked before any fold or walk
+        with pytest.raises(InfeasibleWindowError) as err:
             model.solve()
-        except InfeasibleWindowError as exc:
-            assert (exc.start_slot, exc.remaining) == (j, r)
-        except InfeasibleModelError:
-            pass  # a fully erased cycle at a lower level ends the solve first
-        else:
-            pytest.fail("a zero sizing entry must make the model infeasible")
+        assert (err.value.start_slot, err.value.remaining) == (j, r)
+
+    def test_table_at_own_length_is_a_read_only_view(self):
+        pe = np.array([0.1, 0.5, 0.0])
+        policy = AdaptivePolicy(pe)
+        table = policy.table(2, pe.size)
+        assert np.shares_memory(table, policy.table(1, pe.size))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 7
+        longer = policy.table(2, 5)  # a copy: slot j reads j mod 3
+        assert longer.tolist() == [[2, 2, 1, 2, 2], [3, 3, 3, 3, 3]]
 
     def test_nonadaptive_table_is_the_deficit(self):
         table = NonAdaptivePolicy().table(4, 3)
@@ -534,3 +551,86 @@ class TestOnePassSolve:
         # 512 slots fill one block
         pe = np.random.default_rng(5).random(1100) ** 3
         assert np.array_equal(AdaptivePolicy(pe).table(10, pe.size), scalar_table(pe, 10))
+
+
+# 1.0 twice: erased slots are what the verdict looks at
+edgy_erasure = st.one_of(st.sampled_from([1.0, 1.0, 0.0]), erasure)
+
+
+@st.composite
+def edgy_traces(draw):
+    """Up to 40 slots with pe of exactly 0.0 and 1.0 common.  A short
+    pattern repeated, with a few slots redrawn, makes fully erased slot
+    cycles common too."""
+    pattern = draw(st.lists(edgy_erasure, min_size=1, max_size=4))
+    pe = np.resize(np.array(pattern), draw(st.integers(1, 40)))
+    for j in draw(st.lists(st.integers(0, pe.size - 1), max_size=3)):
+        pe[j] = draw(edgy_erasure)
+    return pe
+
+
+def fold_and_walk(pe, params, table):
+    """_expected_cost level by level from batch_distribution and one
+    single_rhs_solve per right-hand side; raises where a walk does."""
+    tau, dof = pe.size, params.dof
+    T = np.zeros((3, dof + 1, tau))
+    for r in range(1, dof + 1):
+        batches = [int(n) for n in table[r - 1]]
+        dists = [batch_distribution(pe, j, r, batches[j]) for j in range(tau)]
+        successor = [(j + batches[j] + params.ack_slot_advance) % tau for j in range(tau)]
+        c = [dist[r] for dist in dists]
+        sent = [n * params.t_p for n in batches]
+        for k, rhs in enumerate(([n + params.t_w for n in sent], sent, [1.0] * tau)):
+            if r > 1:
+                rhs = [rhs[j] + sum(dists[j][l] * T[k, l, successor[j]] for l in range(1, r))
+                       for j in range(tau)]
+            T[k, r] = single_rhs_solve(rhs, c, successor)
+    return T
+
+
+def first_stuck_state(pe, params, table):
+    """(slot, deficit) of the first state, level-major, whose every next
+    window is fully erased, as long as it is followed; or None."""
+    tau = pe.size
+    for r, batches in enumerate(table, 1):
+        for start in range(tau):
+            j = start
+            for _ in range(tau + 1):
+                n = int(batches[j])
+                if not (pe[(j + np.arange(n)) % tau] == 1.0).all():
+                    break
+                j = (j + n + params.ack_slot_advance) % tau
+            else:
+                return start, r
+    return None
+
+
+class TestErasedCycleVerdict:
+    @settings(max_examples=400, deadline=None)
+    @given(pe=edgy_traces(), foreign=edgy_traces(), dof=st.integers(1, 5),
+           ack=st.integers(0, 2), kind=st.sampled_from(["nc", "own", "foreign"]))
+    def test_verdict_equals_the_walk(self, pe, foreign, dof, ack, kind):
+        policy = {"nc": NonAdaptivePolicy(), "own": AdaptivePolicy(pe),
+                  "foreign": AdaptivePolicy(foreign)}[kind]
+        params = ModelParams(dof=dof, t_p=GEO.t_p, t_w=GEO.t_w, ack_slot_advance=ack)
+        table = policy.table(dof, pe.size)
+        if not table.all():
+            with pytest.raises(InfeasibleWindowError):
+                completion._expected_cost(pe, params, policy)
+            return
+        try:
+            want = fold_and_walk(pe, params, table)
+        except InfeasibleModelError:
+            with pytest.raises(ErasedCycleError) as err:
+                completion._expected_cost(pe, params, policy)
+            assert (err.value.start_slot, err.value.remaining) == \
+                first_stuck_state(pe, params, table)
+            return
+        assert first_stuck_state(pe, params, table) is None
+        got = completion._expected_cost(pe, params, policy)
+        # level 1 has no lower levels to sum: the same bits.  Above it,
+        # einsum adds the lower levels' terms in an order that depends on
+        # the shapes (tau against dof), so those match to rounding; every
+        # term is nonnegative, so nothing cancels
+        assert got[:, :2].tolist() == want[:, :2].tolist()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
