@@ -11,7 +11,8 @@ The expected-cost equations are linear and block-triangular in the
 remaining-DoF level; within a level each state couples to exactly one
 other state, so levels solve exactly by resolving the cycles of that
 successor map and back-substituting.  A model is settled before its
-fold: it is infeasible when some state has no covering window
+fold (`settle`, which the Monte Carlo engine calls too): it is
+infeasible when some state has no covering window
 (InfeasibleWindowError) or can never leave fully erased batch windows
 (ErasedCycleError), each naming the first such state.  One fold of
 per-slot success counts gives the batch outcomes of every level, and
@@ -46,10 +47,6 @@ class InfeasibleWindowError(InfeasibleModelError):
         self.start_slot = start_slot
         self.remaining = remaining
 
-    def __reduce__(self):
-        # a Monte Carlo worker process sends the error back pickled
-        return type(self), (self.start_slot, self.remaining)
-
 
 class ErasedCycleError(InfeasibleModelError):
     """From this state every batch window, round after round, is fully erased."""
@@ -62,9 +59,6 @@ class ErasedCycleError(InfeasibleModelError):
         )
         self.start_slot = start_slot
         self.remaining = remaining
-
-    def __reduce__(self):
-        return type(self), (self.start_slot, self.remaining)
 
 
 @dataclass(frozen=True)
@@ -380,34 +374,44 @@ def _erased_cycle_state(pe: np.ndarray, table: np.ndarray, ack: int):
     return None
 
 
+def settle(pe: np.ndarray, policy, params: ModelParams) -> np.ndarray:
+    """The policy's sizing table over `pe`, once the model is known feasible.
+
+    The one infeasibility verdict of both engines: a window the table
+    leaves uncovered raises InfeasibleWindowError at the first in
+    level-major order, and then a state that can never leave fully
+    erased windows raises ErasedCycleError at the first such.  Either
+    state makes the expected cost undefined, reachable from the start
+    or not.  Level 1 is checked first from a one-row table, the full
+    table's first row, so a model uncovered there builds no other row.
+    """
+    tau = pe.size
+    for rows in (1, params.dof):
+        table = policy.table(rows, tau)
+        zeros = np.flatnonzero(table == 0)
+        if zeros.size:
+            level, slot = divmod(int(zeros[0]), tau)
+            raise InfeasibleWindowError(slot, level + 1)
+    stuck = _erased_cycle_state(pe, table, params.ack_slot_advance)
+    if stuck is not None:
+        raise ErasedCycleError(*stuck)
+    return table
+
+
 def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     """Expected accumulated per-round costs until absorption, per state.
 
     Returns an array of shape (3, dof+1, tau), one backward solve with
     three right-hand sides for a round of N packets: [0] the time
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
-    Row 0 of each is the absorbed level.  A model is settled before its
-    fold: a window the table leaves uncovered raises
-    InfeasibleWindowError at the first in level-major order, and then a
-    state that can never leave fully erased windows raises
-    ErasedCycleError at the first such.  Level 1 is checked first from a
-    one-row table, the full table's first row, so a model uncovered
-    there builds no other row.  One fold gives the batch outcomes of
-    every level, and each level is one walk for all three right-hand
-    sides.
+    Row 0 of each is the absorbed level.  The model is settled before
+    its fold.  One fold gives the batch outcomes of every level, and
+    each level is one walk for all three right-hand sides.
     """
     tau = pe.size
     dof = params.dof
     ack = params.ack_slot_advance
-    for rows in (1, dof):
-        table = policy.table(rows, tau)
-        zeros = np.flatnonzero(table == 0)
-        if zeros.size:
-            level, slot = divmod(int(zeros[0]), tau)
-            raise InfeasibleWindowError(slot, level + 1)
-    stuck = _erased_cycle_state(pe, table, ack)
-    if stuck is not None:
-        raise ErasedCycleError(*stuck)
+    table = settle(pe, policy, params)
     dists = _level_distributions(pe, table)
     T = np.zeros((3, dof + 1, tau))
     slots = np.arange(tau)

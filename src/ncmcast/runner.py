@@ -8,11 +8,12 @@ cells, which ask their reference receiver's own questions, are that
 receiver's rows in both engines.  A receiver's cell under a virtual
 scheme asks its own trace under the shared policy, so every cell is one
 receiver, and the Monte Carlo engine answers all of a point's questions
-in one `simkit.run_many` pass.  Cells whose model is infeasible (a trace
-too erased to cover the block within the batch cap) are flagged with NA
+in one `simkit.run_many` pass.  Cells whose model is infeasible (the
+verdict both engines share, `completion.settle`) are flagged with NA
 values and the sweep continues.  So are Monte Carlo cells where any
 trial ran out of rounds, since a mean over the trials that completed is
-biased low.
+biased low.  Throughput is dof / delay in both engines, over the mean
+delay in Monte Carlo.
 """
 
 from __future__ import annotations
@@ -97,14 +98,15 @@ def model_params(scenario: Scenario) -> ModelParams:
     )
 
 
-def _row(receiver, scheme, ebn0, engine, delay=None, thr=None, packets=None,
+def _row(receiver, scheme, ebn0, engine, dof=None, delay=None, packets=None,
          se=None) -> dict:
+    """One results row; in both engines the throughput is dof / delay."""
     return {
         "receiver": str(receiver),
         "scheme": scheme,
         "eb_n0_db": float(ebn0),
         "delay_s": delay,
-        "throughput_pps": thr,
+        "throughput_pps": None if delay is None else dof / delay,
         "avg_packets": packets,
         "engine": engine,
         "se_delay": se,
@@ -195,17 +197,15 @@ def _analytic_point(scenario: Scenario, params: ModelParams,
 
     def row(label, scheme, ebn0, answer) -> dict:
         delay, packets = answer
-        return _row(label, scheme, ebn0, "analytic", delay, params.dof / delay,
-                    packets, 0.0)
+        return _row(label, scheme, ebn0, "analytic", params.dof, delay, packets, 0.0)
 
     return point.rows("analytic", solve, row)
 
 
-def _mc_summary_row(label, scheme, ebn0, summary) -> dict:
+def _mc_summary_row(label, scheme, ebn0, summary, dof) -> dict:
     if summary.n_failures > 0:
         return _row(label, scheme, ebn0, "montecarlo")
-    return _row(label, scheme, ebn0, "montecarlo",
-                summary.delay.mean, summary.throughput.mean,
+    return _row(label, scheme, ebn0, "montecarlo", dof, summary.delay.mean,
                 summary.packets.mean, summary.delay.se)
 
 
@@ -235,7 +235,8 @@ def _mc_point(scenario: Scenario, params: ModelParams, point: _Point,
                        decoding=scenario.decoding, start_slot=scenario.start_slot,
                        workers=workers)
     answers = dict(zip(questions, run_many(config, asked)))
-    return point.rows("montecarlo", answers.__getitem__, _mc_summary_row)
+    return point.rows("montecarlo", answers.__getitem__,
+                      lambda *cell: _mc_summary_row(*cell, params.dof))
 
 
 def run_scenario(scenario: Scenario, engine: str = "analytic",

@@ -8,8 +8,9 @@ file alone.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -141,25 +142,10 @@ def _lms_from_dict(data: dict) -> LmsParams:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "receivers": s.receivers,
-        "dof": s.dof,
-        "packet_time_s": s.packet_time_s,
-        "ack_wait_s": s.ack_wait_s,
-        "ack_slot_advance": s.ack_slot_advance,
-        "bits_per_packet": s.bits_per_packet,
-        "trace_length": s.trace_length,
-        "start_slot": s.start_slot,
-        "modulation": s.modulation,
-        "eb_n0_db": list(s.eb_n0_db),
-        "schemes": list(s.schemes),
-        "seed": s.seed,
-        "trials": s.trials,
-        "decoding": s.decoding,
-        "lms": _lms_to_dict(s.lms),
-        "trace_files": s.trace_files,
-    }
+    """Every field in declaration order, each copied, `lms` as a mapping."""
+    out = {f.name: copy.copy(getattr(s, f.name)) for f in fields(s)}
+    out["lms"] = _lms_to_dict(s.lms)
+    return out
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -15,9 +15,9 @@ one-question call.  The pass's lanes are ordered (question, trial), and
 one kernel advances the active lanes of every question together, one
 round at a time: it reads each lane's batch from one flat array of the
 distinct policies' tables and its erasure probabilities from the traces
-laid end to end.  A question stops at its first trial, in trial order,
-to visit a window its table marks uncovered, in the first round that
-meets one; its lanes drop out and no other question moves.  The k-th
+laid end to end.  Each question is settled first by `completion.settle`,
+the analytic engine's verdict: an infeasible one gets its error and runs
+no trial, and a pass with no feasible question runs no kernel.  The k-th
 received packet of every RLNC lane short of full rank is eliminated in
 one batched step (`rlnc.absorb_batch`, whose reference is `rlnc.Span`).
 
@@ -38,8 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .completion import (InfeasibleModelError, InfeasibleWindowError, ModelParams,
-                         _pe_array)
+from .completion import InfeasibleModelError, ModelParams, _pe_array, settle
 from .gf import FieldSpec, field_for
 from .rlnc import absorb_batch
 
@@ -128,11 +127,8 @@ class SimSummary:
     """Aggregated trial statistics of one run."""
 
     n_trials: int
-    n_completed: int
     n_failures: int
-    failure_rate: float
     delay: StatSummary
-    throughput: StatSummary
     packets: StatSummary
     rounds: StatSummary
     records: list[TrialRecord] | None = None
@@ -218,15 +214,14 @@ def _blocks(draws: np.ndarray):
         a = b
 
 
-def _kernel(args) -> tuple[_Outcome, list]:
+def _kernel(args) -> _Outcome:
     """Every lane of every question advanced together, one round at a time.
 
     Lane q * trials + i is trial `offset + i` of question q; it reads row
     q of `pe` and table `policy_of[q]` of `tables`, and draws from the
-    counter streams of row q of `keys` (erasure key, coding key).  The
-    active lanes are carried from round to round in lane order.  Returns
-    the outcome and, per question, the InfeasibleWindowError that stopped
-    it, or None.
+    counter streams of row q of `keys` (erasure key, coding key).  Every
+    question is settled, so its table covers each state it can meet.
+    The active lanes are carried from round to round in lane order.
     """
     keys, offset, trials, pe, tables, policy_of, params, field_spec, max_rounds, \
         start_slot, keep_timeline = args
@@ -246,7 +241,6 @@ def _kernel(args) -> tuple[_Outcome, list]:
     else:  # every lane's span, indexed by pivot, and coding key
         rows = np.zeros((lanes, dof, dof), dtype=field.dtype)
         coding_key = keys[question, 1]
-    errors = [None] * n_q
     out = _Outcome(np.zeros(lanes), np.zeros(lanes, dtype=np.int64),
                    np.zeros(lanes, dtype=np.int64), np.full(lanes, dof),
                    np.full(lanes if keep_timeline else 0, None, dtype=object))
@@ -275,18 +269,10 @@ def _kernel(args) -> tuple[_Outcome, list]:
         return z >= threshold[at]
 
     for rounds in range(1, max_rounds + 1):
-        batch = tables[table_base[question[active]] + (remaining[active] - 1) * tau
-                       + slot[active]].astype(np.int64)
-        if not batch.all():  # a question stops at its first trial, in trial
-            for i in active[batch == 0]:  # order, in an uncovered window
-                if remaining[i]:
-                    q, deficit = question[i], int(remaining[i])
-                    errors[q] = InfeasibleWindowError(int(slot[i]), deficit)
-                    remaining[question == q] = 0  # its lanes drop out
-            going = remaining[active] > 0
-            active, batch = active[going], batch[going]
         if active.size == 0:
             break
+        batch = tables[table_base[question[active]] + (remaining[active] - 1) * tau
+                       + slot[active]].astype(np.int64)
         for a, b in _blocks(batch):
             members, nb = active[a:b], batch[a:b]
             first = np.cumsum(nb) - nb  # each lane's first packet
@@ -317,7 +303,7 @@ def _kernel(args) -> tuple[_Outcome, list]:
             for i in active:
                 out.timelines[i].append(int(remaining[i]))
         active = active[remaining[active] > 0]
-    return out, errors
+    return out
 
 
 # -- one pass for many questions ----------------------------------------------
@@ -328,8 +314,10 @@ def run_many(config: SimConfig, questions) -> list:
 
     A question is `config.trials` trials of one receiver on `trace`, each
     batch sized from `policy`'s table, drawn from streams of `seed`
-    (`config.seed` is not read); the traces share one length.  Returns,
-    per question, its SimSummary or the InfeasibleModelError it raised.
+    (`config.seed` is not read); the traces share one length.  Each
+    question is settled first (`completion.settle`) and runs no trial
+    when infeasible.  Returns, per question, its SimSummary or the
+    InfeasibleModelError its verdict raised.
     """
     if not questions:
         return []
@@ -341,12 +329,23 @@ def run_many(config: SimConfig, questions) -> list:
     tables = np.empty((len(policies), dof, tau), np.min_scalar_type(64 * dof))
     for k, policy in enumerate(policies.values()):  # each batch is <= 64 dof
         tables[k] = policy.table(dof, tau)
-    policy_of = [list(policies).index(id(policy)) for _, _, policy in questions]
+    answers = []
+    for pe, (_, _, policy) in zip(pes, questions):
+        try:
+            settle(pe, policy, config.params)  # reads views of the tables above
+            answers.append(None)
+        except InfeasibleModelError as exc:
+            answers.append(exc.with_traceback(None))
+    live = [q for q, answer in enumerate(answers) if answer is None]
+    if not live:
+        return answers
+    asked = [questions[q] for q in live]
+    policy_of = [list(policies).index(id(policy)) for _, _, policy in asked]
     keys = np.array([_stream_keys(seed if isinstance(seed, np.random.SeedSequence)
                                   else np.random.SeedSequence(seed))
-                     for seed, _, _ in questions], dtype=np.uint64)
+                     for seed, _, _ in asked], dtype=np.uint64)
     # each trace runs on past its end, to the end of the longest batch
-    pe = np.stack(pes)[:, np.arange(tau + int(tables.max())) % tau]
+    pe = np.stack([pes[q] for q in live])[:, np.arange(tau + int(tables.max())) % tau]
     common = (pe, tables, policy_of, config.params, config.field_spec,
               config.max_rounds, config.start_slot, config.record_trials)
     if config.workers == 1:
@@ -359,14 +358,11 @@ def run_many(config: SimConfig, questions) -> list:
                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_kernel, tasks))
-    # each question's lanes of every part, joined in trial order; its
-    # error is that of the first part to stop it
-    out = _Outcome(*(np.concatenate([a.reshape(len(questions), -1) for a in arrays], 1)
-                     for arrays in zip(*(vars(part).values() for part, _ in parts))))
-    answers = []
-    for q in range(len(questions)):
-        stopped = [errors[q] for _, errors in parts if errors[q] is not None]
-        answers.append(stopped[0] if stopped else _summary(config, out, q))
+    # each live question's lanes of every part, joined in trial order
+    out = _Outcome(*(np.concatenate([a.reshape(len(live), -1) for a in arrays], 1)
+                     for arrays in zip(*(vars(part).values() for part in parts))))
+    for row, q in enumerate(live):
+        answers[q] = _summary(config, out, row)
     return answers
 
 
@@ -374,16 +370,13 @@ def _summary(config: SimConfig, out: _Outcome, q: int) -> SimSummary:
     """Question q's statistics, from row q of the joined outcome."""
     delay, packets, rounds = out.delay[q], out.packets[q], out.rounds[q]
     completed = out.remaining[q] == 0
-    n, n_done = completed.size, int(completed.sum())
-    ok_delays = delay[completed]
+    n = completed.size
     records = [TrialRecord(i, float(delay[i]), int(packets[i]), int(rounds[i]),
                            bool(completed[i]), out.timelines[q, i] or [])
                for i in range(n)] if config.record_trials else None
     return SimSummary(
-        n_trials=n, n_completed=n_done, n_failures=n - n_done,
-        failure_rate=(n - n_done) / n,
-        delay=StatSummary.from_samples(ok_delays),
-        throughput=StatSummary.from_samples(config.params.dof / ok_delays),
+        n_trials=n, n_failures=n - int(completed.sum()),
+        delay=StatSummary.from_samples(delay[completed]),
         packets=StatSummary.from_samples(packets[completed]),
         rounds=StatSummary.from_samples(rounds[completed]),
         records=records,

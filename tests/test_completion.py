@@ -1,5 +1,4 @@
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -274,12 +273,6 @@ class TestSolve:
             model.solve()
         assert (err.value.start_slot, err.value.remaining) == (0, 1)
         assert "slot 0 with 1 degrees of freedom" in str(err.value)
-
-    def test_erased_cycle_error_pickles_with_its_state(self):
-        err = pickle.loads(pickle.dumps(ErasedCycleError(3, 2)))
-        assert type(err) is ErasedCycleError
-        assert (err.start_slot, err.remaining) == (3, 2)
-        assert str(err) == str(ErasedCycleError(3, 2))
 
     def test_adaptive_rounds_never_exceed_nonadaptive(self):
         rng = np.random.default_rng(18)
@@ -634,3 +627,22 @@ class TestErasedCycleVerdict:
         # term is nonnegative, so nothing cancels
         assert got[:, :2].tolist() == want[:, :2].tolist()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pe=edgy_traces(), foreign=edgy_traces(), dof=st.integers(1, 4),
+           ack=st.integers(0, 2), kind=st.sampled_from(["nc", "own", "foreign"]))
+    def test_montecarlo_settles_as_the_solve(self, pe, foreign, dof, ack, kind):
+        # both engines reach the one verdict, at the same state
+        policy = {"nc": NonAdaptivePolicy(), "own": AdaptivePolicy(pe),
+                  "foreign": AdaptivePolicy(foreign)}[kind]
+        params = ModelParams(dof=dof, t_p=GEO.t_p, t_w=GEO.t_w, ack_slot_advance=ack)
+        config = SimConfig(trials=2, seed=0, params=params, max_rounds=3)
+        try:
+            CompletionModel(pe, params, policy).solve()
+        except InfeasibleModelError as exc:
+            with pytest.raises(InfeasibleModelError) as err:
+                run_single(config, pe, policy)
+            assert (type(err.value), err.value.start_slot, err.value.remaining) == \
+                (type(exc), exc.start_slot, exc.remaining)
+            return
+        assert run_single(config, pe, policy).n_trials == 2

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncmcast import completion, runner
+from ncmcast import completion, runner, simkit
 from ncmcast.channel import ErasureTrace, to_erasure_trace
 from ncmcast.completion import (AdaptivePolicy, ModelParams, NonAdaptivePolicy,
                                 expected_delay_packets)
@@ -46,9 +46,9 @@ FULL_SWEEP_SHA256 = {
 # must leave these bytes as they are.
 MONTECARLO_CSV_SHA256 = {
     "rlnc": (dict(decoding="rlnc", trials=5),
-             "feb919d2d1d00181062f9a2a7024205c7d1f436be0acc118c42c2e5f431506d5"),
+             "63e12f2ec102c1bc83b04ddbcf1b1006ce47944697667ceea995ed75e9030606"),
     "ideal": (dict(trials=2000),
-              "6ce06e918a3070258e4efc6977bcae7757b432bba301724f80539dfb4333db64"),
+              "a1ed2e25c1d8a11352866901d8319cfdae2441ac2a615b795e858fe06d4ba1b4"),
 }
 
 # SHA-256 of the GF(2^4) trial records of one anc receiver, then of each
@@ -197,7 +197,8 @@ def test_montecarlo_virtual_cells_are_receiver_local():
                                params=params, decoding=scenario.decoding,
                                start_slot=scenario.start_slot)
             alone = run_single(config, traces[k], policy)
-            assert rows[str(label), scheme] == _mc_summary_row(label, scheme, 7.0, alone)
+            want = _mc_summary_row(label, scheme, 7.0, alone, params.dof)
+            assert rows[str(label), scheme] == want
     label = str(labels[ref])
     assert rows[label, "maxct"] == dict(rows[label, "anc"], scheme="maxct")
 
@@ -227,15 +228,15 @@ def test_montecarlo_cell_with_a_trial_out_of_rounds_is_na():
                        params=ModelParams(dof=4, t_p=1e-3, t_w=6e-3))
     cut = run_single(config, pe, nc)
     assert 0 < cut.n_failures < cut.n_trials
-    assert _mc_summary_row("1", "nc", 7.0, cut)["delay_s"] is None
+    assert _mc_summary_row("1", "nc", 7.0, cut, 4)["delay_s"] is None
     whole = run_single(replace(config, max_rounds=10_000), pe, nc)
     assert whole.n_failures == 0
-    assert _mc_summary_row("1", "nc", 7.0, whole)["delay_s"] is not None
+    assert _mc_summary_row("1", "nc", 7.0, whole, 4)["delay_s"] is not None
 
 
 def test_montecarlo_virtual_failure_writes_one_row_per_cell(tmp_path):
-    # At 10 dB a V-MaxPe anc trial meets a window no batch covers; that
-    # cell alone becomes NA, and every other cell keeps its one row.
+    # At 10 dB the V-MaxPe anc model has a window no batch covers; the
+    # verdict makes that cell NA, and every cell keeps its one row.
     rows = run_scenario(point("geo-iv-defaults.yaml", 10.0, trials=50),
                         engine="montecarlo")
     keys = cell_keys(rows)
@@ -245,6 +246,15 @@ def test_montecarlo_virtual_failure_writes_one_row_per_cell(tmp_path):
     assert by_key["V-MaxPe", "anc", 10.0, "montecarlo"]["delay_s"] is None
     assert by_key["V-MaxPe", "nc", 10.0, "montecarlo"]["delay_s"] is not None
     write_results_csv(tmp_path / "results.csv", rows)
+
+
+def test_engines_agree_on_na_cells():
+    rows = run_scenario(point("geo-iv-defaults.yaml", 10.0, trials=50), engine="both")
+    na = {engine: {row["receiver"] + row["scheme"] for row in rows
+                   if row["engine"] == engine and row["delay_s"] is None}
+          for engine in ("analytic", "montecarlo")}
+    assert len(na["analytic"]) == 25
+    assert na["montecarlo"] == na["analytic"]
 
 
 def test_write_results_csv_rejects_a_repeated_cell(tmp_path):
@@ -293,3 +303,18 @@ def test_workers_split_trials_with_one_pool_per_point(monkeypatch, decoding):
     run_scenario(replace(scenario, eb_n0_db=[6.5, 7.0, 7.5]), engine="montecarlo",
                  workers=2)
     assert pools == [2, 2, 2]
+
+
+def test_point_with_no_feasible_question_runs_no_trial(monkeypatch):
+    """geo-iv at 0 dB: the verdict settles every question, so the pass
+    starts neither a kernel nor a process pool."""
+    import concurrent.futures
+
+    started = []
+    monkeypatch.setattr(simkit, "_kernel", lambda args: started.append("kernel"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: started.append("pool"))
+    rows = run_scenario(point("geo-iv-defaults.yaml", 0.0, trials=50),
+                        engine="montecarlo", workers=2)
+    assert len(rows) == 44 and all(row["delay_s"] is None for row in rows)
+    assert started == []

@@ -9,9 +9,12 @@ from ncmcast.channel import ErasureTrace
 from ncmcast.completion import (
     AdaptivePolicy,
     CompletionModel,
+    ErasedCycleError,
+    InfeasibleModelError,
     InfeasibleWindowError,
     ModelParams,
     NonAdaptivePolicy,
+    settle,
 )
 from ncmcast.gf import FieldSpec, field_for
 from ncmcast.rlnc import Span
@@ -19,6 +22,8 @@ from ncmcast.simkit import SimConfig, run_single
 from ncmcast.virtualize import MulticastGroup, build_maxpe
 
 PARAMS = ModelParams(dof=4, t_p=1e-3, t_w=6e-3)
+# a packet arrives with chance 2^-53: feasible, yet practically never delivers
+NEAR_ERASED = np.nextafter(1.0, 0.0)
 
 
 def make_group(pe_rows):
@@ -107,12 +112,12 @@ class TestRunSingle:
         assert (a.delay, a.packets, a.rounds) == (b.delay, b.packets, b.rounds)
 
     def test_failure_cap_counted_and_warned(self):
-        pe = np.ones(3)  # nothing ever arrives
         cfg = SimConfig(trials=50, seed=12, params=PARAMS, max_rounds=20)
-        summary = run_single(cfg, pe, NonAdaptivePolicy())
-        assert summary.n_failures == 50
-        assert summary.failure_rate == 1.0
+        summary = run_single(cfg, np.full(3, NEAR_ERASED), NonAdaptivePolicy())
+        assert (summary.n_trials, summary.n_failures) == (50, 50)
         assert np.isnan(summary.delay.mean)
+        with pytest.raises(ErasedCycleError):  # nothing ever arrives
+            run_single(cfg, np.ones(3), NonAdaptivePolicy())
 
     def test_packets_match_planned_batches(self):
         pe = np.array([0.5, 0.2])
@@ -209,14 +214,14 @@ class TestMulticast:
     )
     def test_uncovered_window_raises_from_workers(self, decoding, workers):
         # 0.05 packets per 8 slots: no batch within the cap covers a deficit,
-        # and every trial starts in the state (slot 0, deficit 4)
+        # and the verdict names the first such state, (slot 0, deficit 1)
         group = make_group([np.r_[0.95, np.ones(7)], np.zeros(8)])
         cfg = SimConfig(trials=8, seed=32, params=PARAMS,
                         decoding=decoding, workers=workers)
         for trace in group.receivers:
             with pytest.raises(InfeasibleWindowError) as err:
                 run_single(cfg, trace, maxpe_policy(group))
-            assert (err.value.start_slot, err.value.remaining) == (0, 4)
+            assert (err.value.start_slot, err.value.remaining) == (0, 1)
 
 
 class TestDelayBands:
@@ -253,9 +258,10 @@ class TestDelayBands:
 
 def per_trial_records(config, pe, policy):
     """The former one-trial-at-a-time loop, kept as the kernel's reference:
-    each trial runs alone to the end, drawing its packets from the
-    counter streams one round at a time.  Returns (trial, completion
-    time, packets, rounds, completed, dof timeline) per trial."""
+    each trial of a settled question runs alone to the end, drawing its
+    packets from the counter streams one round at a time.  Returns
+    (trial, completion time, packets, rounds, completed, dof timeline)
+    per trial."""
     tau = pe.size
     params, dof = config.params, config.params.dof
     table = policy.table(dof, tau)
@@ -268,8 +274,6 @@ def per_trial_records(config, pe, policy):
         j, t, rounds, sent = config.start_slot % tau, 0.0, 0, 0
         while remaining and rounds < config.max_rounds:
             batch = int(table[remaining - 1, j])
-            if batch == 0:
-                raise InfeasibleWindowError(j, remaining)
             packets = sent + np.arange(batch)
             trial = np.full(batch, i)
             slots = (j + np.arange(batch)) % tau
@@ -316,20 +320,22 @@ class TestKernel:
         config = SimConfig(trials=trials, seed=seed, params=PARAMS, decoding=decoding,
                            start_slot=start_slot, max_rounds=30, record_trials=True)
         try:
-            want = per_trial_records(config, rows[0], policy)
-        except InfeasibleWindowError:
-            with pytest.raises(InfeasibleWindowError):
+            settle(rows[0], policy, PARAMS)
+        except InfeasibleModelError as exc:
+            with pytest.raises(type(exc)) as err:
                 run_single(config, rows[0], policy)
+            assert (err.value.start_slot, err.value.remaining) == \
+                (exc.start_slot, exc.remaining)
             return
-        assert records(run_single(config, rows[0], policy)) == want
+        assert records(run_single(config, rows[0], policy)) == \
+            per_trial_records(config, rows[0], policy)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_shared_generator_ignores_draw_block(self, monkeypatch, block):
         group = make_group([[0.1, 0.3, 0.2, 0.05], [0.4, 0.2, 0.3, 0.5],
                             [0.2, 0.2, 0.6, 0.1]])
-        # 0.8 over 30 slots, then nothing arrives: trials left with two or
-        # more packets to go at slot 21 meet an uncovered window in round 2;
-        # under seed 33 the first of them, in trial order, has three to go
+        # 0.8 over 30 slots, then nothing arrives: from slot 25 on, no
+        # window within the cap covers one packet
         pe = np.r_[np.full(30, 0.8), np.ones(270)]
 
         def outcomes():
@@ -344,7 +350,7 @@ class TestKernel:
         default = outcomes()
         monkeypatch.setattr(simkit, "DRAW_BLOCK", block)
         assert outcomes() == default
-        assert default[1] == (21, 3)
+        assert default[1] == (25, 1)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_rlnc_records_ignore_draw_block(self, monkeypatch, block):
@@ -396,15 +402,15 @@ class TestRunMany:
             self, data, n_rx, tau, dof, trials, decoding, record, max_rounds,
             start_slot, block, seed):
         """A shuffled pass over nc, own and shared policies, with one question
-        that meets an uncovered window and one that never completes, gives
-        each question the summary and records of its run alone."""
+        that the verdict settles and one that never completes, gives each
+        question the summary, records or error of its run alone."""
         rows = [np.array(data.draw(st.lists(erasure, min_size=tau, max_size=tau)))
                 for _ in range(n_rx)]
         policies = [NonAdaptivePolicy(), maxpe_policy(make_group(rows))]
         questions = [(rows[k], policy) for k in range(n_rx)
                      for policy in policies + [AdaptivePolicy(rows[k])]]
         questions += [(rows[0], AdaptivePolicy(np.full(tau, 0.99))),  # uncovered
-                      (np.ones(tau), policies[0])]  # never completes
+                      (np.full(tau, NEAR_ERASED), policies[0])]  # never completes
         questions = data.draw(st.permutations(
             [(seed + k, trace, policy) for k, (trace, policy) in enumerate(questions)]))
         config = SimConfig(trials=trials, seed=0, decoding=decoding,
@@ -419,14 +425,14 @@ class TestRunMany:
         for (q_seed, trace, policy), got in zip(questions, answers):
             try:
                 want = run_single(replace(config, seed=q_seed), trace, policy)
-            except InfeasibleWindowError as exc:
-                assert isinstance(got, InfeasibleWindowError)
-                assert (got.start_slot, got.remaining) == (exc.start_slot, exc.remaining)
-                outcomes.add("uncovered")
+            except InfeasibleModelError as exc:
+                assert (type(got), got.start_slot, got.remaining) == \
+                    (type(exc), exc.start_slot, exc.remaining)
+                outcomes.add("settled")
                 continue
             assert repr(got) == repr(want)  # NaN means of a question never completed
             outcomes.add("cut" if got.n_failures else "done")
-        assert {"uncovered", "cut"} <= outcomes
+        assert {"settled", "cut"} <= outcomes
 
     def test_traces_of_one_pass_share_one_length(self):
         config = SimConfig(trials=2, seed=0, params=PARAMS)
@@ -498,9 +504,11 @@ class TestStreams:
         # the per-trial streams' twin of test_failure_cap_counted_and_warned
         cfg = SimConfig(trials=60, seed=42, params=PARAMS, decoding=decoding,
                         max_rounds=5, record_trials=True)
-        summary = run_single(cfg, np.ones(3), NonAdaptivePolicy())
-        assert summary.n_completed == 0
+        summary = run_single(cfg, np.full(3, NEAR_ERASED), NonAdaptivePolicy())
+        assert summary.n_failures == 60
         assert all(r.dof_timeline == [PARAMS.dof] * 6 for r in summary.records)
+        with pytest.raises(ErasedCycleError):
+            run_single(cfg, np.ones(3), NonAdaptivePolicy())
 
 
 class TestCounterBounds:
