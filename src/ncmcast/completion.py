@@ -15,10 +15,12 @@ fold (`settle`, which the Monte Carlo engine calls too): it is
 infeasible when some state has no covering window
 (InfeasibleWindowError) or can never leave fully erased batch windows
 (ErasedCycleError), each naming the first such state.  One fold of
-per-slot success counts gives the batch outcomes of every level, and
-each level is one walk of its successor map for the three right-hand
-sides: time, time at zero acknowledgment wait, and rounds.  Decoding is
-idealized: every received packet is innovative.
+per-slot success counts, held count-major, gives the batch outcomes of
+every level, and each level is one walk of its successor map for the
+three right-hand sides: time, time at zero acknowledgment wait, and
+rounds.  The walk checks the residual of its closed forms, the only
+nodes whose equation can hold inexactly.  Decoding is idealized: every
+received packet is innovative.
 """
 
 from __future__ import annotations
@@ -84,12 +86,11 @@ class ModelParams:
 
 
 def _pe_array(trace) -> np.ndarray:
-    if isinstance(trace, ErasureTrace):
-        return trace.pe
-    pe = np.asarray(trace, dtype=float)
-    if pe.ndim != 1 or pe.size < 1:
-        raise ValueError("erasure trace must be a nonempty 1-D vector")
-    return pe
+    """The erasure probabilities of an ErasureTrace, or of a raw vector
+    checked by ErasureTrace's rule (ParameterError, a ValueError)."""
+    if not isinstance(trace, ErasureTrace):
+        trace = ErasureTrace(trace)
+    return trace.pe
 
 
 # -- batch outcome distribution ---------------------------------------------
@@ -129,13 +130,14 @@ def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
     The last r entries of [r-1, j] are batch_distribution(pe, j, r,
     table[r-1, j])[1:], the chances of deficits 1..r.  Missing l of r
     degrees of freedom means r - l successes, so one fold of success
-    counts serves every level: count c sits in column rows-1-c, where
+    counts serves every level: count c sits in row rows-1-c, where
     rows = table.shape[0], and each level takes a snapshot of the counts
     once its own batch has been sent.  Each step is the same two
     products and one add as batch_distribution, done in place on the
     counts that can be nonzero, so the entries are bit-identical; the
     absorbed deficit 0 is not kept.  Slots are stepped in order of their
-    largest batch, so the ones still sending are a leading block.
+    largest batch, so the ones still sending are a leading block of
+    columns, and each count's row of them is contiguous.
     """
     rows, tau = table.shape
     last = table.max(axis=0, initial=0)
@@ -147,23 +149,25 @@ def _level_distributions(pe: np.ndarray, table: np.ndarray) -> np.ndarray:
     sending = np.searchsorted(-last[order], -np.arange(1, steps + 1), side="right")
     # flat (level, slot) entries by batch size; batch k is events[bounds[k]:bounds[k+1]]
     events = np.argsort(table, axis=None, kind="stable")
-    bounds = np.searchsorted(table.ravel()[events], np.arange(steps + 2))
+    bounds = np.searchsorted(table.ravel()[events], np.arange(steps + 2)).tolist()
+    column = where[events % tau]
     pe = np.resize(pe, tau + steps)  # run on past the end: slot j + k - 1, no modulo
-    counts = np.zeros((tau, rows))
-    counts[:, -1:] = 1.0  # no successes yet; empty when no level is covered
+    counts = np.zeros((rows, tau))
+    counts[-1:] = 1.0  # no successes yet; empty when no level is covered
     snaps = np.empty((rows, tau, rows))
+    flat = snaps.reshape(rows * tau, rows)  # entry level * tau + slot, as in events
     for k in range(1, steps + 1):
         n = sending[k - 1]
-        # after k packets only counts 0..k can be nonzero; the columns to
-        # the left stay 0 (0*e + 0*s), so the step leaves them alone
-        live = counts[:n, max(rows - 1 - k, 0):]
-        e = pe[order[:n] + (k - 1)][:, None]
-        s = 1.0 - e
-        gain = live[:, 1:] * s
+        # after k packets only counts 0..k can be nonzero; the rows above
+        # stay 0 (0*e + 0*s), so the step leaves them alone
+        live = counts[max(rows - 1 - k, 0):, :n]
+        e = pe[order[:n] + (k - 1)]
+        gain = live[1:] * (1.0 - e)
         live *= e
-        live[:, :-1] += gain
-        level, slot = np.divmod(events[bounds[k]:bounds[k + 1]], tau)
-        snaps[level, slot] = counts[where[slot]]
+        live[:-1] += gain
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo < hi:
+            flat[events[lo:hi]] = counts[:, column[lo:hi]].T
     return snaps
 
 
@@ -290,13 +294,17 @@ def _solve_level(b: list, c: list, successor: list) -> list:
     back-substitute along the trees hanging off it.  The three
     right-hand sides share the walk, which visits each slot once.
     Raises when a cycle has unit stay probability everywhere (the batch
-    windows on it are fully erased).  Works on Python lists: the walk
-    is scalar code.
+    windows on it are fully erased), and ArithmeticError when a closed
+    form misses its equation by more than 1e-9 * (1 + |T|).  Only the
+    one node per cycle that gets a closed form can miss: every other
+    node's T is its equation's own multiply and add, so its residual is
+    exactly 0.  Works on Python lists: the walk is scalar code.
     """
     b0, b1, b2 = b
     tau = len(c)
     T0, T1, T2 = [0.0] * tau, [0.0] * tau, [0.0] * tau
     walk = [0] * tau  # 0 unseen, else 1 + the slot the walk started from
+    closed = []  # the nodes that got a closed form, one per cycle
     for start in range(tau):
         if walk[start]:
             continue
@@ -324,6 +332,7 @@ def _solve_level(b: list, c: list, successor: list) -> list:
             T0[j] = a0 / (1.0 - coef)
             T1[j] = a1 / (1.0 - coef)
             T2[j] = a2 / (1.0 - coef)
+            closed.append(j)
             del path[k]
         for node in reversed(path):
             nxt = successor[node]
@@ -331,6 +340,11 @@ def _solve_level(b: list, c: list, successor: list) -> list:
             T0[node] = b0[node] + f * T0[nxt]
             T1[node] = b1[node] + f * T1[nxt]
             T2[node] = b2[node] + f * T2[nxt]
+    for j in closed:
+        nxt, f = successor[j], c[j]
+        for T, bk in ((T0, b0), (T1, b1), (T2, b2)):
+            if abs(T[j] - (bk[j] + f * T[nxt])) > 1e-9 * (1.0 + abs(T[j])):
+                raise ArithmeticError("expected-cost solve residual out of tolerance")
     return [T0, T1, T2]
 
 
@@ -405,30 +419,28 @@ def _expected_cost(pe: np.ndarray, params: ModelParams, policy) -> np.ndarray:
     three right-hand sides for a round of N packets: [0] the time
     N*t_p + t_w, [1] the time at zero ack wait N*t_p, [2] one round.
     Row 0 of each is the absorbed level.  The model is settled before
-    its fold.  One fold gives the batch outcomes of every level, and
+    its fold.  One fold gives the batch outcomes of every level, the
+    stay chances and round costs of every level are taken once, and
     each level is one walk for all three right-hand sides.
     """
     tau = pe.size
-    dof = params.dof
-    ack = params.ack_slot_advance
     table = settle(pe, policy, params)
     dists = _level_distributions(pe, table)
-    T = np.zeros((3, dof + 1, tau))
-    slots = np.arange(tau)
-    for r in range(1, dof + 1):
-        batches = table[r - 1]
-        dist = dists[r - 1, :, -r:]
-        successor = (slots + batches + ack) % tau
-        c = dist[:, -1]
-        sent = batches * params.t_p
-        b = np.stack((sent + params.t_w, sent, np.ones(tau)))
+    stays = dists[:, :, -1]
+    # T's level r holds its round costs (time, time at zero ack wait,
+    # rounds) until its solution replaces them.  No cost or successor
+    # array beside T: a larger heap peak per model made malloc return
+    # the heap after each model and page it in again
+    T = np.zeros((3, params.dof + 1, tau))
+    np.multiply(table, params.t_p, out=T[1, 1:])
+    np.add(T[1, 1:], params.t_w, out=T[0, 1:])
+    T[2, 1:] = 1.0
+    slots = np.arange(tau) + params.ack_slot_advance
+    for r in range(1, params.dof + 1):
+        b, successor = T[:, r], (slots + table[r - 1]) % tau
         if r > 1:
-            b += np.einsum("jl,klj->kj", dist[:, :-1], T[:, 1:r, successor])
-        T[:, r] = _solve_level(b.tolist(), c.tolist(), successor.tolist())
-        level = T[:, r]
-        resid = np.abs(level - (b + c * level[:, successor]))
-        if np.any(resid > 1e-9 * (1.0 + np.abs(level))):
-            raise ArithmeticError("expected-cost solve residual out of tolerance")
+            b += np.einsum("jl,klj->kj", dists[r - 1, :, -r:-1], T[:, 1:r, successor])
+        T[:, r] = _solve_level(b.tolist(), stays[r - 1].tolist(), successor.tolist())
     return T
 
 
@@ -450,9 +462,16 @@ class CompletionModel:
         """Expected completion seconds for every (remaining, slot) state."""
         return self._solved()[0]
 
+    def _level(self, remaining: int | None) -> int:
+        if remaining is None:
+            return self.params.dof
+        if not 0 <= remaining <= self.params.dof:
+            raise ValueError(f"remaining must lie in 0..{self.params.dof}")
+        return remaining
+
     def expected_time(self, remaining: int | None = None,
                       start_slot: int = 0) -> float:
-        r = self.params.dof if remaining is None else remaining
+        r = self._level(remaining)
         return float(self.solve()[r, start_slot % self.pe.size])
 
     def average_packets(self, start_slot: int = 0) -> float:
@@ -463,7 +482,7 @@ class CompletionModel:
     def expected_rounds(self, remaining: int | None = None,
                         start_slot: int = 0) -> float:
         """Expected number of feedback rounds until completion."""
-        r = self.params.dof if remaining is None else remaining
+        r = self._level(remaining)
         return float(self._solved()[2, r, start_slot % self.pe.size])
 
 

@@ -16,6 +16,7 @@ from ncmcast.completion import (
     anc_batch_size,
     batch_distribution,
 )
+from ncmcast.channel import ParameterError
 from ncmcast.simkit import SimConfig, run_single
 
 GEO = ModelParams(dof=10, t_p=0.67e-3, t_w=0.2388)
@@ -317,6 +318,33 @@ class TestDerivedMetrics:
         model = CompletionModel(pe, GEO, AdaptivePolicy(pe))
         assert model.expected_rounds() == pytest.approx(1.0, abs=1e-12)
 
+    def test_remaining_outside_zero_to_dof_rejected(self):
+        pe = np.full(20, 0.3)
+        params = ModelParams(dof=3, t_p=GEO.t_p, t_w=GEO.t_w)
+        model = CompletionModel(pe, params, AdaptivePolicy(pe))
+        for remaining in (-1, -2, 4):
+            with pytest.raises(ValueError, match="remaining"):
+                model.expected_time(remaining=remaining)
+            with pytest.raises(ValueError, match="remaining"):
+                model.expected_rounds(remaining=remaining)
+        assert model.expected_time(remaining=0) == 0.0
+        assert model.expected_time(remaining=3) == model.expected_time()
+        assert model.expected_rounds(remaining=3) == model.expected_rounds()
+
+
+class TestRawErasureVectors:
+    @pytest.mark.parametrize("pe", [[0.2, float("nan"), 0.1], [0.2, float("inf"), 0.1],
+                                    [0.2, 1.5, 0.1], [0.2, -0.5, 0.1], [], [[0.1, 0.2]]])
+    def test_checked_by_the_trace_rule(self, pe):
+        # the rule of ErasureTrace, whose ParameterError is a ValueError
+        params = ModelParams(dof=2, t_p=GEO.t_p, t_w=GEO.t_w)
+        with pytest.raises(ParameterError):
+            CompletionModel(pe, params, NonAdaptivePolicy())
+        with pytest.raises(ParameterError):
+            AdaptivePolicy(pe)
+        with pytest.raises(ParameterError):
+            run_single(SimConfig(trials=2, seed=0, params=params), pe, NonAdaptivePolicy())
+
 
 class TestModelParams:
     def test_validation(self):
@@ -514,6 +542,19 @@ def functional_graphs(draw):
     return b, c, successor
 
 
+def slot_cycles(successor):
+    """The cycles of a successor map, each as a list of its nodes."""
+    cycles = {}
+    for j in range(len(successor)):
+        for _ in range(len(successor)):  # tau steps from any node end on a cycle
+            j = successor[j]
+        cycle = [j]
+        while successor[cycle[-1]] != j:
+            cycle.append(successor[cycle[-1]])
+        cycles[min(cycle)] = cycle
+    return list(cycles.values())
+
+
 class TestOnePassSolve:
     @settings(max_examples=150, deadline=None)
     @given(pe=traces, dof=st.integers(1, 6))
@@ -539,6 +580,28 @@ class TestOnePassSolve:
                 completion._solve_level(b, c, successor)
             return
         assert completion._solve_level(b, c, successor) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=functional_graphs())
+    def test_residual_is_exact_off_the_closed_forms(self, system):
+        # the full-level residual the solve once checked at every node:
+        # exactly 0.0 but at the one node per cycle that gets a closed
+        # form, and within tolerance everywhere
+        b, c, successor = system
+        try:
+            T = np.array(completion._solve_level(b, c, successor))
+        except InfeasibleModelError:
+            return
+        b, c = np.array(b), np.array(c)
+        resid = np.abs(T - (b + c * T[:, successor]))
+        assert not np.any(resid > 1e-9 * (1.0 + np.abs(T)))
+        missed = resid.any(axis=0)
+        cycles = slot_cycles(successor)
+        on_cycle = np.zeros(len(successor), dtype=bool)
+        for cycle in cycles:
+            on_cycle[cycle] = True
+            assert missed[cycle].sum() <= 1
+        assert not missed[~on_cycle].any()
 
     def test_sizing_table_equals_scalar_rule_across_blocks(self):
         # 512 slots fill one block
